@@ -1,8 +1,8 @@
 #!/bin/sh
 # Probabilistic fault soak over the real CLI binary: seeded random
-# ZR_FAULT plans (worker panics and stalls, daemon submit poison and
-# stalls, store write errors, registry pull errors) against build-many
-# batches, alternating between the per-batch scheduler and daemon mode.
+# ZR_FAULT plans (worker panics and stalls, submit poison and stalls,
+# store write errors, registry pull errors) against build-many batches
+# on the scheduler's resident worker pool.
 #
 # The gate is liveness, not success: builds are *allowed* to fail under
 # injected faults, but the process must never hang (a timeout kills it)
@@ -30,7 +30,7 @@ cleanup() { rm -rf "$WORK"; }
 trap cleanup EXIT INT TERM
 
 # Three batch members: a multi-stage diamond (exercises the DAG and
-# work stealing), and two opaque single-stage builds.
+# work stealing), and two single-stage builds.
 cat > "$WORK/diamond.df" <<'EOF'
 FROM alpine:3.19 AS base
 RUN echo shared > /shared
@@ -49,6 +49,8 @@ EXPECTED=3
 
 round=1
 while [ "$round" -le "$ROUNDS" ]; do
+    # The sched.daemon.submit.* points fire on every scheduler submit
+    # (the names predate the resident pool; saved plans still replay).
     PLAN="seed=$((SEED + round));\
 sched.stage.panic=p0.05;\
 sched.stage.stall=p0.08:20;\
@@ -56,16 +58,12 @@ sched.daemon.submit.poison=p0.25;\
 sched.daemon.submit.stall=p0.25:15;\
 store.write.err=p0.03;\
 registry.pull.err=p0.03"
-    # Odd rounds: per-batch scheduler. Even rounds: daemon (resident
-    # pool, which is what the submit.* points target).
-    MODE=""
-    [ $((round % 2)) -eq 0 ] && MODE="--daemon"
-    echo "fault-soak: round $round/$ROUNDS $MODE ZR_FAULT=\"$PLAN\""
+    echo "fault-soak: round $round/$ROUNDS ZR_FAULT=\"$PLAN\""
 
     OUT="$WORK/round-$round.log"
     set +e
     ZR_FAULT="$PLAN" timeout "$TIMEOUT" \
-        "$ZR" build-many --jobs 4 $MODE $BATCH > "$OUT" 2>&1
+        "$ZR" build-many --jobs 4 $BATCH > "$OUT" 2>&1
     rc=$?
     set -e
     # 0 (all ok) and 1 (some builds failed under faults) are both

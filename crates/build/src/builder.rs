@@ -106,107 +106,42 @@ impl Builder {
     /// on user input: failures come back as a failed [`BuildResult`]
     /// whose log ends with `error: build failed: ...`, like the paper's
     /// Figure 1b transcript.
+    ///
+    /// Runs, serially, the three steps a scheduler runs too:
+    /// [`plan`], then [`build_stage`](Self::build_stage) per retained
+    /// stage in plan order (stopping at the first failure), then
+    /// [`assemble`].
     pub fn build(
         &mut self,
         kernel: &mut Kernel,
         dockerfile: &str,
         opts: &BuildOptions,
     ) -> BuildResult {
-        let mut log = Vec::new();
-        let mut modified = 0u32;
-        let mut stats = CacheStats::default();
-        let outcome = self.run(
-            kernel,
-            dockerfile,
-            opts,
-            &mut log,
-            &mut modified,
-            &mut stats,
-        );
-        match outcome {
-            Ok(image) => {
-                self.store.save(&opts.tag, image.clone());
-                BuildResult {
-                    success: true,
-                    log,
-                    image: Some(image),
-                    modified_run_instructions: modified,
-                    tag: opts.tag.clone(),
-                    degraded: stats.base_fallbacks > 0,
-                    cache: stats,
-                    error: None,
-                }
-            }
-            Err(error) => {
-                log.push(format!("error: build failed: {error}"));
-                BuildResult {
-                    success: false,
-                    log,
-                    image: None,
-                    modified_run_instructions: modified,
-                    tag: opts.tag.clone(),
-                    degraded: false,
-                    cache: stats,
-                    error: Some(error),
-                }
+        let plan = match plan(dockerfile, opts.target.as_deref()) {
+            Ok(plan) => plan,
+            Err(error) => return BuildResult::failed(&opts.tag, error),
+        };
+        let mut stages = Stages::default();
+        for &idx in plan.order() {
+            let (image, output) = self.build_stage(kernel, &plan, idx, opts, stages.images());
+            stages.record(idx, image, output);
+            if stages.error().is_some() {
+                break;
             }
         }
-    }
-
-    fn run(
-        &mut self,
-        kernel: &mut Kernel,
-        dockerfile: &str,
-        opts: &BuildOptions,
-        log: &mut Vec<String>,
-        modified: &mut u32,
-        stats: &mut CacheStats,
-    ) -> Result<Image, BuildError> {
-        let df: Dockerfile = parse(dockerfile).map_err(BuildError::Parse)?;
-        if df.base_image().is_none() {
-            return Err(BuildError::MissingFrom {
-                keyword: "build".into(),
-            });
+        let result = assemble(&plan, opts, &mut stages);
+        if let Some(image) = &result.image {
+            self.store.save(&opts.tag, image.clone());
         }
-        let plan = BuildPlan::compile(&df, opts.target.as_deref()).map_err(BuildError::Plan)?;
-
-        // Multi-stage files get stage banners and pruning notes; a
-        // single-stage file logs exactly what it always did.
-        let multi = plan.stages().len() > 1;
-        if multi {
-            for &p in plan.pruned() {
-                log.push(format!("skipping unused stage: {}", plan.stage_name(p)));
-            }
-        }
-        let mut images: HashMap<usize, Image> = HashMap::new();
-        let mut walked = 0usize;
-        for (pos, &idx) in plan.order().iter().enumerate() {
-            if multi {
-                log.push(format!(
-                    "=== stage {} ({}/{}) ===",
-                    plan.stage_name(idx),
-                    pos + 1,
-                    plan.order().len()
-                ));
-            }
-            let image =
-                self.build_stage(kernel, &plan, idx, opts, &images, log, modified, stats)?;
-            walked += plan.stage_instructions(idx).len();
-            images.insert(idx, image);
-        }
-
-        let image = images.remove(&plan.target()).expect("target stage built");
-        finish_log(log, opts, *modified, walked);
-        let mut meta = image.meta;
-        meta.tag = opts.tag.clone();
-        Ok(Image { meta, fs: image.fs })
+        result
     }
 
     /// Build one stage of a compiled [`BuildPlan`]: walk its cached
     /// prefix, execute the remainder, snapshot each instruction, and
     /// return the stage's result image (tag not yet applied — the
     /// caller tags the *target* stage only, so intermediate results
-    /// digest independently of the destination tag).
+    /// digest independently of the destination tag) beside its log
+    /// chunk and counters.
     ///
     /// `images` must hold the result of every stage in the node's
     /// `deps` — the serial driver ([`build`](Self::build)) guarantees
@@ -214,7 +149,6 @@ impl Builder {
     /// by releasing a stage task only when its dependencies complete.
     /// This is the unit of work a scheduler worker runs, which is why
     /// it is public.
-    #[allow(clippy::too_many_arguments)] // internal seam; bundling hurts call sites
     pub fn build_stage(
         &mut self,
         kernel: &mut Kernel,
@@ -222,9 +156,20 @@ impl Builder {
         stage_idx: usize,
         opts: &BuildOptions,
         images: &HashMap<usize, Image>,
-        log: &mut Vec<String>,
-        modified: &mut u32,
-        stats: &mut CacheStats,
+    ) -> (Result<Image, BuildError>, StageOutput) {
+        let mut out = StageOutput::default();
+        let image = self.run_stage(kernel, plan, stage_idx, opts, images, &mut out);
+        (image, out)
+    }
+
+    fn run_stage(
+        &mut self,
+        kernel: &mut Kernel,
+        plan: &BuildPlan,
+        stage_idx: usize,
+        opts: &BuildOptions,
+        images: &HashMap<usize, Image>,
+        out: &mut StageOutput,
     ) -> Result<Image, BuildError> {
         let insns = plan.stage_instructions(stage_idx);
         // Cross-stage references (FROM <alias>, COPY --from=) key on
@@ -310,8 +255,8 @@ impl Builder {
                         }
                     }
                 }
-                stats.hits += start as u32;
-                log.append(&mut hit_log);
+                out.cache.hits += start as u32;
+                out.log.append(&mut hit_log);
                 break;
             }
         }
@@ -394,7 +339,7 @@ impl Builder {
             };
             // A miss is an execution *attempt*: failed instructions
             // count too (they consulted the cache and found nothing).
-            stats.misses += 1;
+            out.cache.misses += 1;
             match instruction {
                 Instruction::From { image, alias } => {
                     let reference = subst_with(image, &stage, &args);
@@ -405,11 +350,12 @@ impl Builder {
                     // honest miss rendering.
                     let mark = if opts.cache.readable() { '*' } else { '.' };
                     match alias {
-                        Some(a) => log.push(format!("{n}{mark} FROM {reference} AS {a}")),
-                        None => log.push(format!("{n}{mark} FROM {reference}")),
+                        Some(a) => out.log.push(format!("{n}{mark} FROM {reference} AS {a}")),
+                        None => out.log.push(format!("{n}{mark} FROM {reference}")),
                     }
                     if self.store.contains(&opts.tag) {
-                        log.push(format!("updating existing image: {}", opts.tag));
+                        out.log
+                            .push(format!("updating existing image: {}", opts.tag));
                     }
                     stage = Some(match &plan.stages()[stage_idx].base {
                         BaseRef::Stage(i) => {
@@ -419,9 +365,7 @@ impl Builder {
                             })?;
                             start_stage_from(kernel, src, opts)?
                         }
-                        BaseRef::Image(_) => {
-                            self.start_stage(kernel, &reference, opts, log, stats)?
-                        }
+                        BaseRef::Image(_) => self.start_stage(kernel, &reference, opts, out)?,
                     });
                 }
                 Instruction::Env(pairs) => {
@@ -433,7 +377,7 @@ impl Builder {
                         stage_ref.env.push((key.clone(), value.clone()));
                         stage_ref.meta.env.push((key.clone(), value));
                     }
-                    log.push(format!("{n}. ENV {}", shown.join(" ")));
+                    out.log.push(format!("{n}. ENV {}", shown.join(" ")));
                 }
                 Instruction::Arg { name, default } => {
                     let value = cache::resolve_arg(
@@ -443,13 +387,13 @@ impl Builder {
                         &args,
                         &opts.build_args,
                     );
-                    log.push(format!("{n}. ARG {name}={value}"));
+                    out.log.push(format!("{n}. ARG {name}={value}"));
                     args.push((name.clone(), value));
                 }
                 Instruction::Workdir(path) => {
                     let stage_ref = stage.as_mut().ok_or_else(|| missing_from("WORKDIR"))?;
                     let path = substitute(path, &cache::lookup(&stage_ref.env, &args));
-                    log.push(format!("{n}. WORKDIR {path}"));
+                    out.log.push(format!("{n}. WORKDIR {path}"));
                     let pid = stage_ref.container.init_pid;
                     let mut ctx = kernel.ctx(pid);
                     let absolute = join(&ctx.getcwd(), &path);
@@ -463,19 +407,20 @@ impl Builder {
                 Instruction::User(spec) => {
                     // A Type III namespace maps exactly one id; USER is
                     // recorded but cannot change identity (§2).
-                    log.push(format!("{n}. USER {spec}"));
+                    out.log.push(format!("{n}. USER {spec}"));
                     if spec != "root" && spec != "0" {
-                        log.push("warning: USER ignored (single-id namespace)".into());
+                        out.log
+                            .push("warning: USER ignored (single-id namespace)".into());
                     }
                 }
                 Instruction::Label(pairs) => {
                     let shown: Vec<String> =
                         pairs.iter().map(|(k, v)| format!("{k}={v}")).collect();
-                    log.push(format!("{n}. LABEL {}", shown.join(" ")));
+                    out.log.push(format!("{n}. LABEL {}", shown.join(" ")));
                 }
                 Instruction::Copy(spec) | Instruction::Add(spec) => {
                     let stage_ref = stage.as_mut().ok_or_else(|| missing_from("COPY"))?;
-                    log.push(format!(
+                    out.log.push(format!(
                         "{n}. {} {} -> {}",
                         instruction.keyword(),
                         spec.sources.join(" "),
@@ -504,14 +449,14 @@ impl Builder {
                     }
                 }
                 Instruction::Entrypoint(argv) => {
-                    log.push(format!("{n}. ENTRYPOINT {argv:?}"));
+                    out.log.push(format!("{n}. ENTRYPOINT {argv:?}"));
                 }
                 Instruction::Cmd(argv) => {
-                    log.push(format!("{n}. CMD {argv:?}"));
+                    out.log.push(format!("{n}. CMD {argv:?}"));
                 }
                 Instruction::Shell(argv) => {
                     let stage_ref = stage.as_mut().ok_or_else(|| missing_from("SHELL"))?;
-                    log.push(format!("{n}. SHELL {argv:?}"));
+                    out.log.push(format!("{n}. SHELL {argv:?}"));
                     if argv.is_empty() {
                         return Err(BuildError::Instruction {
                             instruction: n as u32,
@@ -521,7 +466,7 @@ impl Builder {
                     stage_ref.shell = argv.clone();
                 }
                 Instruction::NoOp { keyword, args: raw } => {
-                    log.push(format!("{n}. {keyword} {raw}"));
+                    out.log.push(format!("{n}. {keyword} {raw}"));
                 }
                 Instruction::RunShell(_) | Instruction::RunExec(_) => {
                     let stage_ref = stage.as_mut().ok_or_else(|| missing_from("RUN"))?;
@@ -532,14 +477,13 @@ impl Builder {
                         instruction,
                         n as u32,
                         &args,
-                        log,
-                        modified,
+                        out,
                     )?;
                 }
             }
             // Fold any console output the instruction produced into the
             // build log (package-manager transcripts, shell errors, ...).
-            log.extend(kernel.take_console());
+            out.log.extend(kernel.take_console());
             if let Some(key) = key {
                 let state = LayerState {
                     args: args.clone(),
@@ -584,8 +528,7 @@ impl Builder {
         kernel: &mut Kernel,
         reference: &str,
         opts: &BuildOptions,
-        log: &mut Vec<String>,
-        stats: &mut CacheStats,
+        out: &mut StageOutput,
     ) -> Result<Stage, BuildError> {
         let image_ref = ImageRef::parse(reference).ok_or_else(|| BuildError::Pull {
             reference: reference.into(),
@@ -607,10 +550,10 @@ impl Builder {
                     .flatten()
                 {
                     Some(local) => {
-                        log.push(format!(
+                        out.log.push(format!(
                             "warning: pull {reference} failed ({errno}); using local copy"
                         ));
-                        stats.base_fallbacks += 1;
+                        out.cache.base_fallbacks += 1;
                         zr_fault::count_base_fallback();
                         local
                     }
@@ -662,8 +605,7 @@ impl Builder {
         instruction: &Instruction,
         n: u32,
         args: &[(String, String)],
-        log: &mut Vec<String>,
-        modified: &mut u32,
+        out: &mut StageOutput,
     ) -> Result<(), BuildError> {
         let strategy = make(opts.force);
         let pid = stage.container.init_pid;
@@ -673,7 +615,8 @@ impl Builder {
         let mut fakeroot_present = has_fakeroot(kernel, stage);
         if opts.force == Mode::Fakeroot && !fakeroot_present {
             if let Some(pkg) = repo_for(stage.meta.distro).get("fakeroot") {
-                log.push("--force=fakeroot: installing fakeroot into image".into());
+                out.log
+                    .push("--force=fakeroot: installing fakeroot into image".into());
                 let mut ctx = kernel.ctx(pid);
                 if extract_package(&mut ctx, pkg, ChownBehavior::SkipIfMatching).is_ok() {
                     fakeroot_present = true;
@@ -702,7 +645,7 @@ impl Builder {
                 if matches!(opts.force, Mode::Seccomp | Mode::SeccompXattr) {
                     let (injected, changed) = inject_apt_workaround(cmd);
                     if changed {
-                        *modified += 1;
+                        out.modified += 1;
                         executed = injected;
                     }
                 }
@@ -717,13 +660,14 @@ impl Builder {
             ),
             _ => unreachable!("caller matched RUN forms"),
         };
-        log.push(format!("{n}. {} {display}", strategy.run_marker()));
+        out.log
+            .push(format!("{n}. {} {display}", strategy.run_marker()));
 
         let mut run_env: Vec<(String, String)> = args.to_vec();
         run_env.extend(stage.env.iter().cloned());
 
         let status = kernel.exec_in(pid, &path, argv, run_env);
-        log.extend(kernel.take_console());
+        out.log.extend(kernel.take_console());
         strategy.teardown(kernel);
 
         match status {
@@ -740,21 +684,138 @@ impl Builder {
     }
 }
 
-/// The closing log lines every successful build prints (the `--force=`
-/// modification count and the `grown in N instructions` line). Public
-/// so the DAG scheduler, which assembles a build's log from per-stage
-/// chunks, closes it byte-identically to a serial [`Builder::build`].
-pub fn finish_log(log: &mut Vec<String>, opts: &BuildOptions, modified: u32, instructions: usize) {
-    if matches!(opts.force, Mode::Seccomp | Mode::SeccompXattr) {
-        let flag = make(opts.force).flag();
-        log.push(format!(
-            "--force={flag}: modified {modified} RUN instructions"
-        ));
+/// Parse `dockerfile`, check it has a FROM, and compile its stage plan
+/// for `target` — the first step of every build, serial or scheduled.
+/// A build that fails here runs no stage; its result is
+/// [`BuildResult::failed`].
+pub fn plan(dockerfile: &str, target: Option<&str>) -> Result<BuildPlan, BuildError> {
+    let df: Dockerfile = parse(dockerfile).map_err(BuildError::Parse)?;
+    if df.base_image().is_none() {
+        return Err(missing_from("build"));
     }
-    log.push(format!(
-        "grown in {instructions} instructions: {}",
-        opts.tag
-    ));
+    BuildPlan::compile(&df, target).map_err(BuildError::Plan)
+}
+
+/// What one [`Builder::build_stage`] call logged and counted beside the
+/// image it returns.
+#[derive(Debug, Clone, Default)]
+pub struct StageOutput {
+    /// The stage's log lines (the stage banner is [`assemble`]'s).
+    pub log: Vec<String>,
+    /// Cache hits and misses of the stage's instructions.
+    pub cache: CacheStats,
+    /// RUN instructions the `--force` strategy rewrote.
+    pub modified: u32,
+}
+
+/// The stages of one build so far: [`record`](Self::record) folds in
+/// each [`Builder::build_stage`] outcome, in whatever order stages
+/// finish, and [`assemble`] closes the build.
+#[derive(Debug, Default)]
+pub struct Stages {
+    images: HashMap<usize, Image>,
+    logs: HashMap<usize, Vec<String>>,
+    cache: CacheStats,
+    modified: u32,
+    error: Option<BuildError>,
+}
+
+impl Stages {
+    /// Fold in stage `index`'s outcome. The first failure recorded is
+    /// the build's error.
+    pub fn record(&mut self, index: usize, image: Result<Image, BuildError>, output: StageOutput) {
+        self.logs.insert(index, output.log);
+        self.cache += output.cache;
+        self.modified += output.modified;
+        match image {
+            Ok(image) => {
+                self.images.insert(index, image);
+            }
+            Err(error) => {
+                self.error.get_or_insert(error);
+            }
+        }
+    }
+
+    /// The result image of every stage completed so far.
+    pub fn images(&self) -> &HashMap<usize, Image> {
+        &self.images
+    }
+
+    /// The first stage failure, if any.
+    pub fn error(&self) -> Option<&BuildError> {
+        self.error.as_ref()
+    }
+}
+
+/// Close a build from its recorded stages: the pruning notes and a
+/// banner per stage (files with more than one stage only) around the
+/// stage logs in plan order, whatever order the stages ran in; then the
+/// closing lines and the tagged target image, or the failure line. A
+/// build that stopped before its target without a stage failing ends
+/// [`BuildError::Cancelled`]. Moves the logs and the target image out
+/// of `stages`, copying neither.
+pub fn assemble(plan: &BuildPlan, opts: &BuildOptions, stages: &mut Stages) -> BuildResult {
+    let multi = plan.stages().len() > 1;
+    let mut log = Vec::new();
+    if multi {
+        for &p in plan.pruned() {
+            log.push(format!("skipping unused stage: {}", plan.stage_name(p)));
+        }
+    }
+    let total = plan.order().len();
+    for (pos, &idx) in plan.order().iter().enumerate() {
+        let Some(mut lines) = stages.logs.remove(&idx) else {
+            continue;
+        };
+        if multi {
+            log.push(format!(
+                "=== stage {} ({}/{total}) ===",
+                plan.stage_name(idx),
+                pos + 1
+            ));
+        }
+        log.append(&mut lines);
+    }
+    let mut result = BuildResult {
+        success: false,
+        log,
+        image: None,
+        modified_run_instructions: stages.modified,
+        tag: opts.tag.clone(),
+        cache: stages.cache,
+        degraded: false,
+        error: stages.error.clone(),
+    };
+    match stages.images.remove(&plan.target()) {
+        Some(image) if result.error.is_none() => {
+            if matches!(opts.force, Mode::Seccomp | Mode::SeccompXattr) {
+                result.log.push(format!(
+                    "--force={}: modified {} RUN instructions",
+                    make(opts.force).flag(),
+                    stages.modified
+                ));
+            }
+            let walked: usize = plan
+                .order()
+                .iter()
+                .map(|&i| plan.header().len() + plan.stages()[i].instructions.len())
+                .sum();
+            result
+                .log
+                .push(format!("grown in {walked} instructions: {}", opts.tag));
+            let mut meta = image.meta;
+            meta.tag = opts.tag.clone();
+            result.image = Some(Image { meta, fs: image.fs });
+            result.success = true;
+            result.degraded = stages.cache.base_fallbacks > 0;
+        }
+        _ => {
+            let error = result.error.get_or_insert(BuildError::Cancelled);
+            result.log.push(format!("error: build failed: {error}"));
+        }
+    }
+    result
 }
 
 /// The `N* INSTR` line a cache hit prints: the executed rendering of

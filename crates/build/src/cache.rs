@@ -60,6 +60,14 @@ impl CacheStats {
     }
 }
 
+impl std::ops::AddAssign for CacheStats {
+    fn add_assign(&mut self, other: CacheStats) {
+        self.hits += other.hits;
+        self.misses += other.misses;
+        self.base_fallbacks += other.base_fallbacks;
+    }
+}
+
 impl std::fmt::Display for CacheStats {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "{} hits, {} misses", self.hits, self.misses)?;

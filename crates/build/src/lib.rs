@@ -38,7 +38,7 @@ mod cache;
 mod options;
 mod result;
 
-pub use builder::{finish_log, Builder};
+pub use builder::{assemble, plan, Builder, StageOutput, Stages};
 pub use cache::{CacheMode, CacheStats};
 pub use options::{context_file, BuildOptions, ContextFile};
 pub use result::{BuildError, BuildResult};

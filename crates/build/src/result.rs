@@ -118,6 +118,21 @@ pub struct BuildResult {
 }
 
 impl BuildResult {
+    /// A build whose Dockerfile did not plan (see [`plan`](crate::plan)):
+    /// no stage ran, and the log is the one failure line.
+    pub fn failed(tag: &str, error: BuildError) -> BuildResult {
+        BuildResult {
+            success: false,
+            log: vec![format!("error: build failed: {error}")],
+            image: None,
+            modified_run_instructions: 0,
+            tag: tag.to_string(),
+            cache: CacheStats::default(),
+            degraded: false,
+            error: Some(error),
+        }
+    }
+
     /// The log as one newline-joined string (assertion-friendly).
     pub fn log_text(&self) -> String {
         self.log.join("\n")

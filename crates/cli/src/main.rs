@@ -1,16 +1,8 @@
 //! `zr-image` — a ch-image-flavoured CLI over the simulated build stack.
 //!
 //! ```text
-//! zr-image build -t TAG [--force=MODE] [--target STAGE] [--no-cache]
-//!                [--cache-stats] [--cache-limit BYTES] [--cache-dir DIR]
-//!                [--retry N] [--timeout SECS] [--fault-plan PLAN]
-//!                [-f DOCKERFILE] [CONTEXT_DIR]
-//! zr-image build-many [--jobs N] [--force=MODE] [--target STAGE]
-//!                [--no-cache] [--cache-stats] [--cache-limit BYTES]
-//!                [--cache-dir DIR] [--store-limit BYTES] [--blob-limit BYTES]
-//!                [--shards N] [--pull-latency-ms N] [--fail-fast]
-//!                [--daemon] [--follow ID] [--context DIR]
-//!                [--fault-plan PLAN] DOCKERFILE…
+//! zr-image build [-t TAG] [-f DOCKERFILE] [BUILD FLAGS…] [CONTEXT_DIR]
+//! zr-image build-many [BUILD FLAGS…] DOCKERFILE…
 //! zr-image export --output DIR [build flags…]   # build, then OCI layout
 //! zr-image import DIR           # OCI layout -> image, prints the digest
 //! zr-image inspect [--json] DIR # layout summary + image digest
@@ -26,10 +18,23 @@
 //! zr-image filter [ARCH…]       # compiled seccomp filter, disassembled
 //! zr-image table                # the 29 filtered syscalls × 6 arches
 //! zr-image list                 # known base images
+//!
+//! BUILD FLAGS: [--force=MODE] [--target STAGE] [--no-cache]
+//!              [--cache-stats] [--jobs N] [--fail-fast] [--follow ID]
+//!              [--context DIR] [--cache-limit BYTES] [--cache-dir DIR]
+//!              [--store-limit BYTES] [--blob-limit BYTES] [--shards N]
+//!              [--registry ADDR] [--retry N] [--timeout SECS]
+//!              [--fault-plan PLAN]
 //! ```
 //!
-//! `build --registry ADDR` resolves `FROM` over the wire instead of
-//! the built-in catalog (the pull-through cache still applies).
+//! `build` is `build-many` with one request: both run one batch on a
+//! scheduler with `--jobs` resident workers (default: one per CPU),
+//! every request as its stage plan. `build` prints the log bare;
+//! `build-many` prefixes each line with `[id] ` and adds a status line
+//! per build. `--follow ID` streams that build's stage chunks as they
+//! land (`[id:stage]` lines, then `[id] STATUS`). `--registry ADDR`
+//! resolves `FROM` over the wire instead of the built-in catalog (the
+//! pull-through cache still applies).
 //!
 //! `audit` builds the same Dockerfile twice under independently
 //! constructed builders (optionally at different `--jobs` levels) and
@@ -49,34 +54,23 @@
 //! policy and per-request deadline (`--timeout 0` = block forever).
 
 use std::io::Read;
+use std::path::Path;
 use std::process::ExitCode;
-use std::time::Duration;
+use std::sync::Arc;
 
 use zeroroot_core::Mode;
-use zr_build::{BuildOptions, Builder, CacheMode};
-use zr_image::{PullCost, ShardedRegistry};
-use zr_kernel::Kernel;
+use zr_build::{BuildOptions, CacheMode, CacheStats};
 use zr_registry::RemoteRegistry;
 use zr_sched::{
-    BatchHandle, BuildRequest, BuildStatus, Daemon, LogEvent, Scheduler, SchedulerConfig,
+    BatchHandle, BuildReport, BuildRequest, BuildStatus, LogEvent, Scheduler, SchedulerConfig,
 };
 use zr_syscalls::filtered::{filtered_on, FILTERED};
 use zr_syscalls::Arch;
 
 fn usage() -> ExitCode {
-    eprintln!(
-        "usage: zr-image build -t TAG [--force=MODE] [--target STAGE] [--no-cache] \
-         [--cache-stats] [--cache-limit BYTES] [--cache-dir DIR] [--store-limit BYTES] \
-         [--registry ADDR] [--retry N] [--timeout SECS] [--fault-plan PLAN] \
-         [-f DOCKERFILE] [CONTEXT_DIR]"
-    );
-    eprintln!(
-        "       zr-image build-many [--jobs N] [--force=MODE] [--target STAGE] [--no-cache] \
-         [--cache-stats] [--cache-limit BYTES] [--cache-dir DIR] [--store-limit BYTES] \
-         [--blob-limit BYTES] [--shards N] [--pull-latency-ms N] [--fail-fast] \
-         [--daemon] [--follow ID] [--context DIR] [--fault-plan PLAN] DOCKERFILE…"
-    );
-    eprintln!("       zr-image export --output DIR [build flags…]");
+    eprintln!("usage: zr-image build [-t TAG] [-f DOCKERFILE] [BUILD FLAGS…] [CONTEXT_DIR]");
+    eprintln!("       zr-image build-many [BUILD FLAGS…] DOCKERFILE…");
+    eprintln!("       zr-image export --output DIR [-t TAG] [-f DOCKERFILE] [BUILD FLAGS…]");
     eprintln!("       zr-image import DIR");
     eprintln!("       zr-image inspect [--json] DIR");
     eprintln!(
@@ -93,6 +87,12 @@ fn usage() -> ExitCode {
     eprintln!("       zr-image table");
     eprintln!("       zr-image list");
     eprintln!();
+    eprintln!(
+        "BUILD FLAGS: [--force=MODE] [--target STAGE] [--no-cache] [--cache-stats] [--jobs N] \
+         [--fail-fast] [--follow ID] [--context DIR] [--cache-limit BYTES] [--cache-dir DIR] \
+         [--store-limit BYTES] [--blob-limit BYTES] [--shards N] [--registry ADDR] [--retry N] \
+         [--timeout SECS] [--fault-plan PLAN]"
+    );
     eprintln!(
         "modes: none seccomp seccomp+xattr seccomp+ids fakeroot fakeroot-bind proot proot-accel"
     );
@@ -158,178 +158,125 @@ fn wire_client(addr: &str, retry: Option<u32>, timeout_secs: Option<u64>) -> Rem
     client
 }
 
-/// `build` (and, with `export_to`, the build half of `export`).
-fn cmd_build(args: &[String], export_to: Option<&str>) -> ExitCode {
-    let mut tag = "img".to_string();
-    let mut force = Mode::Seccomp;
-    let mut cache = CacheMode::Enabled;
-    let mut cache_stats = false;
-    let mut cache_limit = 0u64;
-    let mut store_limit: Option<u64> = None;
-    let mut cache_dir: Option<String> = None;
-    let mut registry: Option<String> = None;
-    let mut target: Option<String> = None;
-    let mut file: Option<String> = None;
-    let mut context_dir: Option<String> = None;
-    let mut retry: Option<u32> = None;
-    let mut timeout_secs: Option<u64> = None;
+/// The flags `build`, `export` and `build-many` share, from one parser.
+/// `-t`, `-f` and a `CONTEXT_DIR` positional are `build`'s; the other
+/// positionals are `build-many`'s Dockerfiles.
+struct BuildFlags {
+    /// `--force=`, `--no-cache`, `--target` (tag and context are per
+    /// request).
+    options: BuildOptions,
+    /// `--jobs`, `--fail-fast`, `--shards` and the cache and store
+    /// budgets.
+    config: SchedulerConfig,
+    cache_stats: bool,
+    follow: Option<String>,
+    tag: Option<String>,
+    file: Option<String>,
+    context_dir: Option<String>,
+    registry: Option<String>,
+    retry: Option<u32>,
+    timeout_secs: Option<u64>,
+    positional: Vec<String>,
+}
 
+/// Parse the shared build flags; `Err` carries the exit code.
+fn parse_build_flags(args: &[String]) -> Result<BuildFlags, ExitCode> {
+    fn number<T: std::str::FromStr>(value: &str) -> Result<T, ExitCode> {
+        value.parse().map_err(|_| usage())
+    }
+    let mut f = BuildFlags {
+        options: BuildOptions {
+            force: Mode::Seccomp,
+            ..BuildOptions::default()
+        },
+        config: SchedulerConfig::default(),
+        cache_stats: false,
+        follow: None,
+        tag: None,
+        file: None,
+        context_dir: None,
+        registry: None,
+        retry: None,
+        timeout_secs: None,
+        positional: Vec::new(),
+    };
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "-t" => match it.next() {
-                Some(t) => tag = t.clone(),
-                None => return usage(),
-            },
-            "--retry" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) => retry = Some(n),
-                None => return usage(),
-            },
-            "--timeout" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(secs) => timeout_secs = Some(secs),
-                None => return usage(),
-            },
-            "--fault-plan" => match it.next() {
-                Some(plan) if install_fault_plan(plan) => {}
-                _ => return ExitCode::from(2),
-            },
-            "--target" => match it.next() {
-                Some(stage) => target = Some(stage.clone()),
-                None => return usage(),
-            },
-            "-f" => match it.next() {
-                Some(f) => file = Some(f.clone()),
-                None => return usage(),
-            },
-            "--no-cache" => cache = CacheMode::Disabled,
-            "--cache-stats" => cache_stats = true,
-            "--cache-limit" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(bytes) => cache_limit = bytes,
-                None => return usage(),
-            },
-            "--cache-dir" => match it.next() {
-                Some(dir) => cache_dir = Some(dir.clone()),
-                None => return usage(),
-            },
-            "--store-limit" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(bytes) => store_limit = Some(bytes),
-                None => return usage(),
-            },
-            "--registry" => match it.next() {
-                Some(addr) => registry = Some(addr.clone()),
-                None => return usage(),
-            },
+            "--no-cache" => f.options.cache = CacheMode::Disabled,
+            "--cache-stats" => f.cache_stats = true,
+            "--fail-fast" => f.config.fail_fast = true,
             _ if a.starts_with("--force=") => {
                 let value = &a["--force=".len()..];
                 match Mode::from_flag(value) {
-                    Some(m) => force = m,
+                    Some(m) => f.options.force = m,
                     None => {
                         eprintln!("error: unknown --force mode '{value}'");
-                        return ExitCode::from(2);
+                        return Err(ExitCode::from(2));
                     }
                 }
             }
-            _ if !a.starts_with('-') => context_dir = Some(a.clone()),
-            _ => return usage(),
+            _ if !a.starts_with('-') => f.positional.push(a.clone()),
+            flag => {
+                let Some(value) = it.next() else {
+                    return Err(usage());
+                };
+                match flag {
+                    "-t" => f.tag = Some(value.clone()),
+                    "-f" => f.file = Some(value.clone()),
+                    "--target" => f.options.target = Some(value.clone()),
+                    "--context" => f.context_dir = Some(value.clone()),
+                    "--follow" => f.follow = Some(value.clone()),
+                    "--registry" => f.registry = Some(value.clone()),
+                    "--cache-dir" => f.config.cache_dir = Some(value.into()),
+                    "--jobs" => f.config.jobs = number(value)?,
+                    "--shards" => f.config.registry_shards = number(value)?,
+                    "--cache-limit" => f.config.cache_limit = number(value)?,
+                    "--blob-limit" => f.config.blob_budget = number(value)?,
+                    "--store-limit" => f.config.store_limit = Some(number(value)?),
+                    "--retry" => f.retry = Some(number(value)?),
+                    "--timeout" => f.timeout_secs = Some(number(value)?),
+                    "--fault-plan" if install_fault_plan(value) => {}
+                    "--fault-plan" => return Err(ExitCode::from(2)),
+                    _ => return Err(usage()),
+                }
+            }
         }
     }
+    Ok(f)
+}
 
-    let dockerfile = match read_dockerfile(file.as_deref()) {
+/// `build` (and, with `export_to`, the build half of `export`): a
+/// one-request batch whose log prints unprefixed.
+fn cmd_build(args: &[String], export_to: Option<&str>) -> ExitCode {
+    let flags = match parse_build_flags(args) {
+        Ok(flags) => flags,
+        Err(code) => return code,
+    };
+    let context_dir = match flags.positional.as_slice() {
+        [] => flags.context_dir.as_deref(),
+        [dir] => Some(dir.as_str()),
+        _ => return usage(),
+    };
+    let dockerfile = match read_dockerfile(flags.file.as_deref()) {
         Ok(text) => text,
         Err(code) => return code,
     };
-
-    let context = context_dir.as_deref().map(load_context).unwrap_or_default();
-
-    let mut kernel = Kernel::default_kernel();
-    let (mut builder, disk) = match &cache_dir {
-        Some(dir) => match Builder::with_cache_dir(dir) {
-            Ok((builder, disk)) => (builder, Some(disk)),
-            Err(e) => {
-                eprintln!("error: --cache-dir {dir}: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
-        None => (Builder::new(), None),
+    let tag = flags.tag.as_deref().unwrap_or("img");
+    let options = BuildOptions {
+        tag: tag.to_string(),
+        context: context_dir.map(load_context).unwrap_or_default(),
+        ..flags.options.clone()
     };
-    builder.layers.set_budget(cache_limit);
-    if let (Some(limit), Some(disk)) = (store_limit, &disk) {
-        if let Err(e) = disk.cas().set_budget(limit) {
-            eprintln!("error: --store-limit: {e}");
-            return ExitCode::FAILURE;
-        }
-    }
-    if let Some(addr) = &registry {
-        // FROM resolves over the wire: the pull-through cache stays,
-        // only the miss path changes from the catalog to HTTP.
-        builder.registry = std::sync::Arc::new(ShardedRegistry::with_backend(
-            ShardedRegistry::DEFAULT_SHARDS,
-            PullCost::default(),
-            std::sync::Arc::new(zr_registry::WireBackend::with_client(wire_client(
-                addr,
-                retry,
-                timeout_secs,
-            ))),
-        ));
-    }
-    let opts = BuildOptions {
-        tag,
-        force,
-        cache,
-        context,
-        target,
-        ..BuildOptions::default()
+    let request = BuildRequest::with_options(tag, &dockerfile, options);
+    let report = match run_batch(&flags, vec![request], false) {
+        Ok(mut reports) => reports.remove(0),
+        Err(code) => return code,
     };
-    let result = builder.build(&mut kernel, &dockerfile, &opts);
-    for line in &result.log {
-        println!("{line}");
-    }
-    let stats = kernel.trace.stats();
-    eprintln!(
-        "[trace] syscalls={} privileged={} faked={} failed={} bpf-instructions={}",
-        stats.total, stats.privileged, stats.faked, stats.failed, stats.filter_steps
-    );
-    if zr_fault::active() {
-        eprintln!("[fault] {}", zr_fault::counters());
-    }
-    if cache_stats {
-        let stats = builder.layers.stats();
-        eprintln!("[cache] {} ({} layers stored)", result.cache, stats.layers);
-        eprintln!(
-            "[cache] store: {} bytes deduplicated ({} logical, {} saved, {} blobs, \
-             {} disk hits)",
-            stats.bytes,
-            stats.logical_bytes,
-            stats.dedup_saved(),
-            stats.blobs,
-            stats.disk_hits
-        );
-        if let Some(disk) = &disk {
-            eprintln!(
-                "[store] {} at {}",
-                disk.cas().stats(),
-                disk.cas().root_dir().display()
-            );
-            eprintln!("[store] {}", disk.stats());
-        }
-    }
-    if let Some(disk) = &disk {
-        if disk.error_count() > 0 {
-            eprintln!(
-                "warning: {} store operations failed (last: {})",
-                disk.error_count(),
-                disk.last_error().unwrap_or_default()
-            );
-        }
-    }
-    if !result.success {
+    let Some(image) = report.result.image.as_ref() else {
         return ExitCode::FAILURE;
-    }
+    };
     if let Some(output) = export_to {
-        let image = result
-            .image
-            .as_ref()
-            .expect("successful build has an image");
         match zr_store::export(image, output) {
             Ok(summary) => {
                 print!("{summary}");
@@ -943,99 +890,28 @@ fn load_context(dir: &str) -> Vec<zr_build::ContextFile> {
 /// worker pool sharing one registry and one layer cache. Each build's
 /// log is printed under its id, so interleaved work stays attributable.
 fn cmd_build_many(args: &[String]) -> ExitCode {
-    let mut jobs = SchedulerConfig::default().jobs;
-    let mut force = Mode::Seccomp;
-    let mut cache = CacheMode::Enabled;
-    let mut cache_stats = false;
-    let mut cache_limit = 0u64;
-    let mut store_limit: Option<u64> = None;
-    let mut cache_dir: Option<String> = None;
-    let mut blob_limit = 0u64;
-    let mut shards = ShardedRegistry::DEFAULT_SHARDS;
-    let mut pull_latency_ms = 0u64;
-    let mut fail_fast = false;
-    let mut daemon_mode = false;
-    let mut follow: Option<String> = None;
-    let mut target: Option<String> = None;
-    let mut context_dir: Option<String> = None;
-    let mut files: Vec<String> = Vec::new();
-
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--jobs" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) => jobs = n,
-                None => return usage(),
-            },
-            "--target" => match it.next() {
-                Some(stage) => target = Some(stage.clone()),
-                None => return usage(),
-            },
-            "--daemon" => daemon_mode = true,
-            "--follow" => match it.next() {
-                Some(id) => follow = Some(id.clone()),
-                None => return usage(),
-            },
-            "--context" => match it.next() {
-                Some(dir) => context_dir = Some(dir.clone()),
-                None => return usage(),
-            },
-            "--shards" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) => shards = n,
-                None => return usage(),
-            },
-            "--pull-latency-ms" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) => pull_latency_ms = n,
-                None => return usage(),
-            },
-            "--cache-limit" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(bytes) => cache_limit = bytes,
-                None => return usage(),
-            },
-            "--store-limit" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(bytes) => store_limit = Some(bytes),
-                None => return usage(),
-            },
-            "--cache-dir" => match it.next() {
-                Some(dir) => cache_dir = Some(dir.clone()),
-                None => return usage(),
-            },
-            "--blob-limit" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(bytes) => blob_limit = bytes,
-                None => return usage(),
-            },
-            "--no-cache" => cache = CacheMode::Disabled,
-            "--cache-stats" => cache_stats = true,
-            "--fail-fast" => fail_fast = true,
-            "--fault-plan" => match it.next() {
-                Some(plan) if install_fault_plan(plan) => {}
-                _ => return ExitCode::from(2),
-            },
-            _ if a.starts_with("--force=") => {
-                let value = &a["--force=".len()..];
-                match Mode::from_flag(value) {
-                    Some(m) => force = m,
-                    None => {
-                        eprintln!("error: unknown --force mode '{value}'");
-                        return ExitCode::from(2);
-                    }
-                }
-            }
-            _ if !a.starts_with('-') => files.push(a.clone()),
-            _ => return usage(),
-        }
+    let flags = match parse_build_flags(args) {
+        Ok(flags) => flags,
+        Err(code) => return code,
+    };
+    if flags.tag.is_some() || flags.file.is_some() {
+        return usage();
     }
-    if files.is_empty() {
+    if flags.positional.is_empty() {
         eprintln!("error: build-many needs at least one Dockerfile");
         return usage();
     }
 
     // One shared context directory for the whole batch (COPY/ADD
     // sources), mirroring the single-build CONTEXT_DIR argument.
-    let context = context_dir.as_deref().map(load_context).unwrap_or_default();
+    let context = flags
+        .context_dir
+        .as_deref()
+        .map(load_context)
+        .unwrap_or_default();
 
     let mut requests = Vec::new();
-    for path in &files {
+    for path in &flags.positional {
         let dockerfile = match std::fs::read_to_string(path) {
             Ok(text) => text,
             Err(e) => {
@@ -1057,101 +933,91 @@ fn cmd_build_many(args: &[String]) -> ExitCode {
         }
         let options = BuildOptions {
             tag: id.clone(),
-            force,
-            cache,
             context: context.clone(),
-            target: target.clone(),
-            ..BuildOptions::default()
+            ..flags.options.clone()
         };
         requests.push(BuildRequest::with_options(&id, &dockerfile, options));
     }
+    match run_batch(&flags, requests, true) {
+        Ok(reports) if reports.iter().all(|r| r.status.succeeded()) => ExitCode::SUCCESS,
+        Ok(_) => ExitCode::FAILURE,
+        Err(code) => code,
+    }
+}
 
-    let latency = Duration::from_millis(pull_latency_ms);
-    let config = SchedulerConfig {
-        jobs,
-        fail_fast,
-        registry_shards: shards,
-        pull_cost: PullCost {
-            round_trip: latency,
-            fetch: 4 * latency,
-        },
-        cache_limit,
-        blob_budget: blob_limit,
-        cache_dir: cache_dir.map(std::path::PathBuf::from),
-        store_limit,
-        ..SchedulerConfig::default()
-    };
-
-    // Resolve --follow to a batch index before the requests move.
-    let follow_idx = match &follow {
-        Some(fid) => match requests.iter().position(|r| r.id == *fid) {
-            Some(idx) => Some(idx),
+/// Run `requests` as one batch on a scheduler built from `flags`,
+/// streaming the `--follow` build live, then print every log (each
+/// line `[id] `-prefixed, plus a status line per build, when
+/// `prefixed`) on stdout and the summary on stderr.
+fn run_batch(
+    flags: &BuildFlags,
+    requests: Vec<BuildRequest>,
+    prefixed: bool,
+) -> Result<Vec<BuildReport>, ExitCode> {
+    let follow = match &flags.follow {
+        Some(id) => match requests.iter().position(|r| r.id == *id) {
+            Some(idx) => Some((idx, id)),
             None => {
-                eprintln!("error: --follow {fid}: no such build id in this batch");
-                return ExitCode::FAILURE;
+                eprintln!("error: --follow {id}: no such build id in this batch");
+                return Err(ExitCode::FAILURE);
             }
         },
         None => None,
     };
+    let mut config = flags.config.clone();
+    if let Some(addr) = &flags.registry {
+        // FROM resolves over the wire: the pull-through cache stays,
+        // only the miss path changes from the catalog to HTTP.
+        let client = wire_client(addr, flags.retry, flags.timeout_secs);
+        config.backend = Some(Arc::new(zr_registry::WireBackend::with_client(client)));
+    }
+    let jobs = config.jobs;
+    let sched = Scheduler::try_new(config).map_err(|e| {
+        let dir = flags.config.cache_dir.as_deref().unwrap_or(Path::new(""));
+        eprintln!("error: --cache-dir {}: {e}", dir.display());
+        ExitCode::FAILURE
+    })?;
 
     let t0 = std::time::Instant::now();
-    // Both paths end holding the batch reports plus the shared stat
-    // handles, so the summary below is branch-agnostic.
-    let (reports, registry, layers, disk) = if daemon_mode {
-        let daemon = match Daemon::try_new(config) {
-            Ok(daemon) => daemon,
-            Err(e) => {
-                eprintln!("error: --cache-dir: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let handle = daemon.submit(requests);
-        follow_stream(&handle, follow_idx, &follow);
-        let reports = handle.wait();
-        let handles = (
-            daemon.registry().clone(),
-            daemon.layers().clone(),
-            daemon.disk().cloned(),
-        );
-        daemon.shutdown();
-        (reports, handles.0, handles.1, handles.2)
-    } else {
-        let sched = match Scheduler::try_new(config) {
-            Ok(sched) => sched,
-            Err(e) => {
-                eprintln!("error: --cache-dir: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let handle = sched.submit(requests);
-        follow_stream(&handle, follow_idx, &follow);
-        let reports = handle.wait();
-        (
-            reports,
-            sched.registry().clone(),
-            sched.layers().clone(),
-            sched.disk().cloned(),
-        )
-    };
+    let handle = sched.submit(requests);
+    if let Some((idx, id)) = follow {
+        follow_stream(&handle, idx, id);
+    }
+    let reports = handle.wait();
     let elapsed = t0.elapsed();
 
-    let mut failures = 0usize;
-    let mut degraded = 0usize;
+    let mut cache = CacheStats::default();
+    let (mut failures, mut degraded) = (0usize, 0usize);
     for r in &reports {
         for line in &r.result.log {
-            println!("[{}] {line}", r.id);
+            if prefixed {
+                println!("[{}] {line}", r.id);
+            } else {
+                println!("{line}");
+            }
         }
-        println!(
-            "[{}] status: {} (faked syscalls: {})",
-            r.id, r.status, r.trace.faked
-        );
+        if prefixed {
+            println!(
+                "[{}] status: {} (faked syscalls: {})",
+                r.id, r.status, r.trace.faked
+            );
+        }
+        cache += r.result.cache;
         if !r.status.succeeded() {
             failures += 1;
         } else if r.status == BuildStatus::Degraded {
             degraded += 1;
         }
     }
-    let rstats = registry.stats();
+    let sum = |count: &dyn Fn(&BuildReport) -> u64| reports.iter().map(count).sum::<u64>();
+    eprintln!(
+        "[trace] syscalls={} privileged={} faked={} failed={} bpf-instructions={}",
+        sum(&|r| r.trace.total),
+        sum(&|r| r.trace.privileged),
+        sum(&|r| r.trace.faked),
+        sum(&|r| r.trace.failed),
+        sum(&|r| r.trace.filter_steps)
+    );
     eprintln!(
         "[sched] {} builds with {jobs} workers in {elapsed:.2?}: {} ok ({degraded} degraded), \
          {failures} not ok",
@@ -1162,6 +1028,8 @@ fn cmd_build_many(args: &[String]) -> ExitCode {
     if zr_fault::active() || fc.injected > 0 || fc.retries > 0 {
         eprintln!("[fault] {fc}");
     }
+    let registry = sched.registry();
+    let rstats = registry.stats();
     eprintln!(
         "[registry] {} pulls, {} fetches, {} blob hits across {} shards",
         rstats.pulls,
@@ -1169,18 +1037,33 @@ fn cmd_build_many(args: &[String]) -> ExitCode {
         rstats.blob_hits,
         registry.shard_count()
     );
-    if cache_stats {
-        eprintln!("[cache] {}", layers.stats());
+    if flags.cache_stats {
+        let stats = sched.layers().stats();
+        eprintln!("[cache] {cache} ({} layers stored)", stats.layers);
+        eprintln!(
+            "[cache] store: {} bytes deduplicated ({} logical, {} saved, {} blobs, \
+             {} disk hits, {} evictions)",
+            stats.bytes,
+            stats.logical_bytes,
+            stats.dedup_saved(),
+            stats.blobs,
+            stats.disk_hits,
+            stats.evictions
+        );
         eprintln!(
             "[registry] blob cache: {} bytes (budget {}), {} evictions",
             rstats.blob_bytes, rstats.blob_budget, rstats.evictions
         );
-        if let Some(disk) = &disk {
-            eprintln!("[store] {}", disk.cas().stats());
+        if let Some(disk) = sched.disk() {
+            eprintln!(
+                "[store] {} at {}",
+                disk.cas().stats(),
+                disk.cas().root_dir().display()
+            );
             eprintln!("[store] {}", disk.stats());
         }
     }
-    if let Some(disk) = &disk {
+    if let Some(disk) = sched.disk() {
         if disk.error_count() > 0 {
             eprintln!(
                 "warning: {} store operations failed (last: {})",
@@ -1189,29 +1072,22 @@ fn cmd_build_many(args: &[String]) -> ExitCode {
             );
         }
     }
-    if failures == 0 {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
+    Ok(reports)
 }
 
 /// Stream one build's per-stage log lines live (`--follow ID`),
 /// blocking until that build reaches a terminal status. The full batch
 /// report still prints afterwards; this is the in-flight view.
-fn follow_stream(handle: &BatchHandle, follow_idx: Option<usize>, follow: &Option<String>) {
-    let (Some(idx), Some(fid)) = (follow_idx, follow) else {
-        return;
-    };
+fn follow_stream(handle: &BatchHandle, idx: usize, id: &str) {
     for event in handle.subscribe(idx) {
         match event {
             LogEvent::Stage { stage, lines, .. } => {
                 for line in lines {
-                    println!("[{fid}:{stage}] {line}");
+                    println!("[{id}:{stage}] {line}");
                 }
             }
             LogEvent::Done { status, .. } => {
-                println!("[{fid}] {status}");
+                println!("[{id}] {status}");
                 break;
             }
         }

@@ -78,13 +78,15 @@ pub mod points {
     /// A scheduler worker stalls (arg = milliseconds) before a stage —
     /// for cancellation-race and deadline tests.
     pub const SCHED_STAGE_STALL: &str = "sched.stage.stall";
-    /// The daemon's submit path stalls (arg = milliseconds) before
+    /// The scheduler's submit path stalls (arg = milliseconds) before
     /// enqueuing the batch — widens the admission/shutdown race window.
+    /// (The name predates the scheduler's resident pool; it is kept so
+    /// saved plans still replay.)
     pub const SCHED_DAEMON_SUBMIT_STALL: &str = "sched.daemon.submit.stall";
-    /// The daemon's submit path panics *inside* the batch-queue
-    /// critical section, poisoning the queue mutex. The daemon absorbs
-    /// the poison and retries the enqueue; resident workers (which
-    /// recover poisoned guards) must survive.
+    /// The scheduler's submit path panics *inside* the batch-list
+    /// critical section, poisoning its mutex. The scheduler absorbs the
+    /// poison and retries the enqueue; resident workers (which recover
+    /// poisoned guards) must survive.
     pub const SCHED_DAEMON_SUBMIT_POISON: &str = "sched.daemon.submit.poison";
 }
 

@@ -2,12 +2,13 @@
 //!
 //! The paper's evaluation (§6) builds many images back-to-back; this
 //! crate turns the single-build [`Builder`](zr_build::Builder) into a
-//! batch engine. A [`Scheduler`] owns one shared
-//! [`ShardedRegistry`](zr_image::ShardedRegistry) and one shared
-//! [`LayerStore`](zr_image::LayerStore); each worker thread builds on a
-//! private simulated kernel (per-build kernels already isolate state),
-//! so the only shared edges are the pull-through blob cache and the
-//! layer cache — both designed for concurrent access.
+//! batch engine. A [`Scheduler`] owns one resident worker pool, one
+//! shared [`ShardedRegistry`](zr_image::ShardedRegistry) and one shared
+//! [`LayerStore`](zr_image::LayerStore). Every request runs as its
+//! stage plan, one task per stage, each on a private simulated kernel
+//! (per-stage kernels already isolate state), so the only shared edges
+//! are the pull-through blob cache and the layer cache — both designed
+//! for concurrent access.
 //!
 //! ```
 //! use zeroroot_core::Mode;
@@ -40,10 +41,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod daemon;
 mod scheduler;
 
-pub use daemon::Daemon;
 pub use scheduler::{
     BatchHandle, BuildReport, BuildRequest, BuildStatus, LogEvent, Priority, Scheduler,
     SchedulerConfig,

@@ -1,16 +1,16 @@
-//! The worker pool, its queues, the stage-DAG execution engine, and
-//! per-build status tracking.
+//! The resident worker pool, its queues, the stage-DAG execution
+//! engine, and per-build status tracking.
 //!
-//! A submitted batch decomposes each request into tasks. Single-stage
-//! Dockerfiles (and anything that fails to plan — the builder then
-//! reproduces the error) run as one *opaque* task, exactly the
-//! pre-DAG behavior. Multi-stage Dockerfiles compile to a
-//! [`BuildPlan`] and run as one task per retained stage: a stage task
-//! is queued the moment every stage it depends on has an image, so
-//! independent stages of one build overlap on different workers while
-//! `COPY --from=` consumers wait for their producers. The per-stage
-//! layer cache and the assembled log are byte-identical to a serial
-//! [`Builder::build`] of the same file.
+//! Every submitted request compiles to a [`BuildPlan`] with
+//! [`zr_build::plan`] and runs as one task per retained stage,
+//! single-stage files included: a stage task is queued the moment every
+//! stage it depends on has an image, so independent stages of one build
+//! overlap on different workers while `COPY --from=` consumers wait for
+//! their producers. A request that does not plan is finalized at
+//! submit. Workers run [`Builder::build_stage`] and
+//! [`zr_build::assemble`] closes the build — the steps of a serial
+//! [`Builder::build`], so the log, cache counters and image match it
+//! byte for byte.
 
 use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -21,8 +21,9 @@ use std::time::Duration;
 
 use zeroroot_core::sync::lock_or_poisoned;
 
-use zr_build::{finish_log, BuildError, BuildOptions, BuildResult, Builder, CacheStats};
-use zr_image::{Image, LayerStore, PullCost, RegistryBackend, ShardedRegistry};
+use zr_build::{BuildError, BuildOptions, BuildResult, Builder, StageOutput, Stages};
+use zr_fault::points;
+use zr_image::{LayerStore, PullCost, RegistryBackend, ShardedRegistry};
 use zr_kernel::Kernel;
 use zr_plan::BuildPlan;
 
@@ -62,12 +63,7 @@ impl BuildRequest {
             tag: id.to_string(),
             ..BuildOptions::default()
         };
-        BuildRequest {
-            id: id.to_string(),
-            dockerfile: dockerfile.to_string(),
-            options,
-            priority: Priority::Normal,
-        }
+        BuildRequest::with_options(id, dockerfile, options)
     }
 
     /// A request with explicit options.
@@ -93,8 +89,7 @@ pub enum BuildStatus {
     /// Waiting in a queue.
     #[default]
     Queued,
-    /// A worker is executing it (for a multi-stage build: at least one
-    /// stage has started).
+    /// At least one of its stages has started on a worker.
     Running,
     /// Finished successfully.
     Done,
@@ -143,20 +138,19 @@ impl std::fmt::Display for BuildStatus {
 }
 
 /// One event on a build's log subscription (see
-/// [`BatchHandle::subscribe`]). Subscribers receive each completed
-/// unit of work as it lands — per stage for a multi-stage build, the
-/// whole log at once for a single-stage build — then a terminal
-/// [`LogEvent::Done`]. Subscribing late replays what was missed.
+/// [`BatchHandle::subscribe`]). Subscribers receive each stage's log
+/// chunk as the stage completes — a single-stage build streams one
+/// chunk, named after its stage — then a terminal [`LogEvent::Done`].
+/// Subscribing late replays what was missed.
 #[derive(Debug, Clone)]
 pub enum LogEvent {
-    /// One completed unit's log lines.
+    /// One completed stage's log lines.
     Stage {
         /// Request index within the batch.
         build: usize,
-        /// Stage display name (alias or index; `"build"` for a
-        /// single-stage build's whole log).
+        /// Stage display name (its alias, else its 0-based index).
         stage: String,
-        /// The log lines that unit produced.
+        /// The log lines that stage produced.
         lines: Vec<String>,
     },
     /// The build reached a terminal status. The assembled, ordered log
@@ -172,7 +166,8 @@ pub enum LogEvent {
 /// Scheduler construction knobs.
 #[derive(Debug, Clone)]
 pub struct SchedulerConfig {
-    /// Worker threads per batch (clamped to at least 1).
+    /// Resident worker threads, started with the scheduler (clamped to
+    /// at least 1).
     pub jobs: usize,
     /// Cancel the rest of the batch when any build fails.
     pub fail_fast: bool,
@@ -228,14 +223,13 @@ impl Default for SchedulerConfig {
 pub struct BuildReport {
     /// The request's id.
     pub id: String,
-    /// Terminal status ([`BuildStatus::Done`], `Failed`, or
+    /// Terminal status ([`BuildStatus::Done`], `Degraded`, `Failed`, or
     /// `Cancelled`).
     pub status: BuildStatus,
-    /// The build result (synthesized with
-    /// [`BuildError::Cancelled`] for builds that never ran).
+    /// The build result (a cancelled build's error is
+    /// [`BuildError::Cancelled`]).
     pub result: BuildResult,
-    /// Syscall statistics from this build's private kernel (summed
-    /// over the per-stage kernels of a multi-stage build).
+    /// Syscall statistics summed over the build's per-stage kernels.
     pub trace: zr_trace::Stats,
     /// Completion sequence within the batch (0 = finished first);
     /// `None` for cancelled builds.
@@ -247,26 +241,28 @@ pub struct BuildReport {
 struct Slot {
     status: BuildStatus,
     result: Option<BuildResult>,
-    trace: Option<zr_trace::Stats>,
+    trace: zr_trace::Stats,
     seq: Option<usize>,
-    /// Has the opaque whole-build log been streamed to subscribers?
-    log_streamed: bool,
-    /// Has the terminal [`LogEvent::Done`] been streamed?
-    done_streamed: bool,
 }
 
-/// One schedulable unit: a whole build, or one stage of a planned
-/// multi-stage build.
+/// One build's log stream: every event sent so far (replayed to late
+/// subscribers) and the live subscribers.
+#[derive(Default)]
+struct Stream {
+    history: Vec<LogEvent>,
+    subscribers: Vec<mpsc::Sender<LogEvent>>,
+}
+
+/// One schedulable unit: one stage of a planned build.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct Task {
+struct Task {
     build: usize,
-    /// `None` = opaque whole-build task.
-    stage: Option<usize>,
+    stage: usize,
 }
 
 /// Which queue class a worker drains first.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Affinity {
+enum Affinity {
     /// Prefer the high-priority queue; steal normal work when idle.
     High,
     /// Prefer the normal queue; steal high-priority work when idle.
@@ -307,17 +303,17 @@ impl Queues {
 }
 
 /// Wakeup channel between task producers (stage completions, batch
-/// submission, cancellation) and idle workers. The timeout on the wait
-/// bounds any lost-wakeup stall, so correctness never depends on a
-/// perfectly placed `notify`.
+/// submission, cancellation, shutdown) and idle workers or waiters. The
+/// timeout on the wait bounds any lost-wakeup stall, so correctness
+/// never depends on a perfectly placed `notify`.
 #[derive(Default)]
-pub(crate) struct WorkSignal {
+struct WorkSignal {
     mutex: Mutex<()>,
     cond: Condvar,
 }
 
 impl WorkSignal {
-    pub(crate) fn notify(&self) {
+    fn notify(&self) {
         let _guard = lock(&self.mutex);
         self.cond.notify_all();
     }
@@ -325,7 +321,7 @@ impl WorkSignal {
     /// Block until `ready()` holds, re-checking under the signal lock
     /// (so a notify between check and wait is never lost) and on a
     /// short timeout.
-    pub(crate) fn wait_until(&self, mut ready: impl FnMut() -> bool) {
+    fn wait_until(&self, mut ready: impl FnMut() -> bool) {
         loop {
             if ready() {
                 return;
@@ -342,27 +338,18 @@ impl WorkSignal {
     }
 }
 
-/// The DAG half of one multi-stage build: the compiled plan plus the
-/// mutable stage bookkeeping every worker touching this build shares.
+/// One planned build: the compiled plan plus the stage bookkeeping
+/// every worker touching this build shares.
 struct DagBuild {
     plan: BuildPlan,
     state: Mutex<DagState>,
 }
 
-/// Progress of one multi-stage build.
+/// Progress of one planned build.
 #[derive(Default)]
 struct DagState {
-    /// Result image per completed stage index.
-    images: HashMap<usize, Image>,
-    /// Log chunk per attempted stage index.
-    logs: HashMap<usize, Vec<String>>,
-    /// Stage indices whose log chunk was already streamed to
-    /// subscribers (late subscribers replay these).
-    streamed: BTreeSet<usize>,
-    /// Summed cache counters across stages.
-    stats: CacheStats,
-    /// Summed `--force` RUN rewrites across stages.
-    modified: u32,
+    /// Stage images, log chunks and summed counters so far.
+    stages: Stages,
     /// Summed syscall statistics across per-stage kernels.
     trace: zr_trace::Stats,
     /// Unreleased stages → number of incomplete dependencies.
@@ -374,17 +361,19 @@ struct DagState {
     inflight: usize,
     /// Retained stages not yet completed successfully.
     remaining: usize,
-    /// First stage failure (halts release of dependents).
-    error: Option<BuildError>,
 }
 
-/// State shared by every worker of one batch.
-pub(crate) struct BatchShared {
+/// State shared by every worker running one batch.
+struct BatchShared {
     requests: Vec<BuildRequest>,
-    /// Parallel to `requests`: `Some` for planned multi-stage builds.
+    /// Parallel to `requests`: `None` for a request that did not plan
+    /// (finalized at submit).
     dags: Vec<Option<DagBuild>>,
+    /// Does any request have [`Priority::High`]?
+    has_high: bool,
     queue: Mutex<Queues>,
     slots: Mutex<Vec<Slot>>,
+    streams: Mutex<Vec<Stream>>,
     /// Completion counter (assigns `BuildReport::seq`).
     seq: AtomicUsize,
     /// Builds that reached a terminal status.
@@ -401,44 +390,20 @@ pub(crate) struct BatchShared {
     peak: AtomicUsize,
     /// Cross-class queue pops (see [`Queues::pop_for`]).
     steals: AtomicUsize,
-    /// Log subscribers per build index.
-    subs: Mutex<HashMap<usize, Vec<mpsc::Sender<LogEvent>>>>,
 }
 
 impl BatchShared {
-    pub(crate) fn is_complete(&self) -> bool {
+    fn is_complete(&self) -> bool {
         self.completed.load(Ordering::SeqCst) >= self.requests.len()
     }
 
-    pub(crate) fn has_work(&self) -> bool {
-        !lock(&self.queue).is_empty()
-    }
-
-    pub(crate) fn try_pop(&self, affinity: Affinity) -> Option<(Task, bool)> {
-        lock(&self.queue).pop_for(affinity)
-    }
-
-    pub(crate) fn note_steal(&self) {
-        self.steals.fetch_add(1, Ordering::SeqCst);
+    fn halted(&self, build: usize) -> bool {
+        self.cancelled.load(Ordering::SeqCst) || self.build_cancelled[build].load(Ordering::SeqCst)
     }
 }
 
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     lock_or_poisoned(m)
-}
-
-/// A failed [`BuildResult`] for a build that never ran.
-fn synthesized_failure(tag: &str, error: BuildError) -> BuildResult {
-    BuildResult {
-        success: false,
-        log: vec![format!("error: build failed: {error}")],
-        image: None,
-        modified_run_instructions: 0,
-        tag: tag.to_string(),
-        cache: zr_build::CacheStats::default(),
-        degraded: false,
-        error: Some(error),
-    }
 }
 
 fn merge_trace(into: &mut zr_trace::Stats, from: &zr_trace::Stats) {
@@ -453,83 +418,62 @@ fn merge_trace(into: &mut zr_trace::Stats, from: &zr_trace::Stats) {
     }
 }
 
-/// Compile a request into a stage DAG, or `None` for the opaque
-/// single-task path: single-stage files (the common case), parse
-/// failures, and plan failures all go through [`Builder::build`],
-/// which reproduces the error with its usual diagnostics.
-fn plan_request(request: &BuildRequest) -> Option<DagBuild> {
-    let df = zr_dockerfile::parse(&request.dockerfile).ok()?;
-    df.base_image()?;
-    let plan = BuildPlan::compile(&df, request.options.target.as_deref()).ok()?;
-    if plan.order().len() < 2 {
-        return None;
-    }
-    let mut pending = HashMap::new();
-    for &i in plan.order() {
-        let deps = &plan.stages()[i].deps;
-        if !deps.is_empty() {
-            pending.insert(i, deps.len());
-        }
-    }
-    let remaining = plan.order().len();
-    Some(DagBuild {
-        state: Mutex::new(DagState {
-            pending,
-            remaining,
-            ..DagState::default()
-        }),
-        plan,
-    })
-}
-
-/// Assemble a batch: plan every request, seed the queues with opaque
-/// tasks and dependency-free root stages, and allocate the slots.
-pub(crate) fn make_batch(
+/// Assemble a batch: plan every request, seed the queues with each
+/// plan's dependency-free stages, and finalize the requests that did
+/// not plan — `Failed`, with exactly the result a serial
+/// [`Builder::build`] gives (under `fail_fast`, that cancels the rest).
+fn make_batch(
     requests: Vec<BuildRequest>,
     fail_fast: bool,
     registry: Arc<ShardedRegistry>,
     layers: LayerStore,
     signal: Arc<WorkSignal>,
 ) -> Arc<BatchShared> {
-    let dags: Vec<Option<DagBuild>> = requests.iter().map(plan_request).collect();
-    let mut queues = Queues::default();
-    for (idx, request) in requests.iter().enumerate() {
-        match &dags[idx] {
-            Some(dag) => {
-                for &i in dag.plan.order() {
-                    if dag.plan.stages()[i].deps.is_empty() {
-                        queues.push(
-                            request.priority,
-                            Task {
-                                build: idx,
-                                stage: Some(i),
-                            },
-                        );
+    let mut queue = Queues::default();
+    let mut failures = Vec::new();
+    let mut dags = Vec::with_capacity(requests.len());
+    for (build, request) in requests.iter().enumerate() {
+        match zr_build::plan(&request.dockerfile, request.options.target.as_deref()) {
+            Ok(plan) => {
+                let mut pending = HashMap::new();
+                for &stage in plan.order() {
+                    match plan.stages()[stage].deps.len() {
+                        0 => queue.push(request.priority, Task { build, stage }),
+                        deps => {
+                            pending.insert(stage, deps);
+                        }
                     }
                 }
+                let state = DagState {
+                    pending,
+                    remaining: plan.order().len(),
+                    ..DagState::default()
+                };
+                dags.push(Some(DagBuild {
+                    plan,
+                    state: Mutex::new(state),
+                }));
             }
-            None => queues.push(
-                request.priority,
-                Task {
-                    build: idx,
-                    stage: None,
-                },
-            ),
+            Err(error) => {
+                failures.push((build, BuildResult::failed(&request.options.tag, error)));
+                dags.push(None);
+            }
         }
     }
-    let slots = (0..requests.len()).map(|_| Slot::default()).collect();
-    let build_cancelled = (0..requests.len())
-        .map(|_| AtomicBool::new(false))
-        .collect();
-    Arc::new(BatchShared {
+    let n = requests.len();
+    let shared = Arc::new(BatchShared {
+        has_high: requests.iter().any(|r| r.priority == Priority::High),
         requests,
         dags,
-        queue: Mutex::new(queues),
-        slots: Mutex::new(slots),
+        queue: Mutex::new(queue),
+        slots: Mutex::new(std::iter::repeat_with(Slot::default).take(n).collect()),
+        streams: Mutex::new(std::iter::repeat_with(Stream::default).take(n).collect()),
         seq: AtomicUsize::new(0),
         completed: AtomicUsize::new(0),
         cancelled: AtomicBool::new(false),
-        build_cancelled,
+        build_cancelled: std::iter::repeat_with(|| AtomicBool::new(false))
+            .take(n)
+            .collect(),
         fail_fast,
         registry,
         layers,
@@ -537,8 +481,28 @@ pub(crate) fn make_batch(
         running: AtomicUsize::new(0),
         peak: AtomicUsize::new(0),
         steals: AtomicUsize::new(0),
-        subs: Mutex::new(HashMap::new()),
-    })
+    });
+    for (build, result) in failures {
+        finalize(
+            &shared,
+            build,
+            BuildStatus::Failed,
+            result,
+            zr_trace::Stats::default(),
+        );
+    }
+    shared
+}
+
+/// Send `event` to `build`'s subscribers, dropping closed ones, and
+/// keep it for late subscribers.
+fn publish(shared: &BatchShared, build: usize, event: LogEvent) {
+    let mut streams = lock(&shared.streams);
+    let stream = &mut streams[build];
+    stream
+        .subscribers
+        .retain(|tx| tx.send(event.clone()).is_ok());
+    stream.history.push(event);
 }
 
 /// Record a build's terminal outcome exactly once: first caller wins,
@@ -563,244 +527,41 @@ fn finalize(
             slot.seq = Some(shared.seq.fetch_add(1, Ordering::SeqCst));
         }
         slot.result = Some(result);
-        slot.trace = Some(trace);
+        slot.trace = trace;
     }
     if status == BuildStatus::Failed && shared.fail_fast {
         shared.cancelled.store(true, Ordering::SeqCst);
     }
     // Stream the terminal event before ticking the completion counter,
     // so a `wait` that wakes on completion always finds it delivered.
-    publish_done(shared, build);
+    publish(shared, build, LogEvent::Done { build, status });
     shared.completed.fetch_add(1, Ordering::SeqCst);
     shared.signal.notify();
 }
 
-/// Send `event` to every subscriber of `build`, dropping closed ones.
-fn deliver(subs: &mut HashMap<usize, Vec<mpsc::Sender<LogEvent>>>, build: usize, event: &LogEvent) {
-    if let Some(senders) = subs.get_mut(&build) {
-        senders.retain(|tx| tx.send(event.clone()).is_ok());
-    }
-}
-
-/// Stream one completed stage's log chunk (once — the `streamed` set
-/// dedupes against late-subscriber replay, under the same lock order
-/// `subs` → `state` that [`BatchHandle::subscribe`] uses).
-fn publish_stage(shared: &BatchShared, build: usize, stage: usize) {
-    let Some(dag) = shared.dags[build].as_ref() else {
-        return;
+/// End a build none of whose stages is running: assemble the result
+/// from the recorded stages and finalize it — `Done` when the target
+/// stage completed (`Degraded` if a base pull fell back or a stage
+/// survived a panic), `Failed` after a stage error, `Cancelled`
+/// otherwise. Called with the build's state lock held, so the result
+/// holds every chunk streamed.
+fn close(shared: &BatchShared, build: usize, dag: &DagBuild, state: &mut DagState) {
+    let options = &shared.requests[build].options;
+    let mut result = zr_build::assemble(&dag.plan, options, &mut state.stages);
+    result.degraded |= result.success && !state.panicked.is_empty();
+    let status = match &result.error {
+        None if result.degraded => BuildStatus::Degraded,
+        None => BuildStatus::Done,
+        Some(BuildError::Cancelled) => BuildStatus::Cancelled,
+        Some(_) => BuildStatus::Failed,
     };
-    let mut subs = lock(&shared.subs);
-    let mut state = lock(&dag.state);
-    if !state.streamed.insert(stage) {
-        return;
-    }
-    let Some(lines) = state.logs.get(&stage) else {
-        return;
-    };
-    let event = LogEvent::Stage {
+    finalize(
+        shared,
         build,
-        stage: dag.plan.stage_name(stage),
-        lines: lines.clone(),
-    };
-    deliver(&mut subs, build, &event);
-}
-
-/// Stream the terminal event (and, for opaque builds, the whole log
-/// first — their single "stage" completes when the build does).
-fn publish_done(shared: &BatchShared, build: usize) {
-    let mut subs = lock(&shared.subs);
-    let mut slots = lock(&shared.slots);
-    let slot = &mut slots[build];
-    if !slot.status.terminal() {
-        return;
-    }
-    if shared.dags[build].is_none() && !slot.log_streamed {
-        slot.log_streamed = true;
-        if let Some(result) = &slot.result {
-            let event = LogEvent::Stage {
-                build,
-                stage: "build".into(),
-                lines: result.log.clone(),
-            };
-            deliver(&mut subs, build, &event);
-        }
-    }
-    if !slot.done_streamed {
-        slot.done_streamed = true;
-        let event = LogEvent::Done {
-            build,
-            status: slot.status,
-        };
-        deliver(&mut subs, build, &event);
-    }
-}
-
-/// The pruning notes and per-stage banners + chunks, in plan order —
-/// byte-identical to what a serial [`Builder::build`] logs, whatever
-/// order the stages actually finished in.
-fn assemble_dag_log(plan: &BuildPlan, logs: &HashMap<usize, Vec<String>>) -> Vec<String> {
-    let mut log = Vec::new();
-    for &p in plan.pruned() {
-        log.push(format!("skipping unused stage: {}", plan.stage_name(p)));
-    }
-    let total = plan.order().len();
-    for (pos, &idx) in plan.order().iter().enumerate() {
-        let Some(lines) = logs.get(&idx) else {
-            continue;
-        };
-        log.push(format!(
-            "=== stage {} ({}/{}) ===",
-            plan.stage_name(idx),
-            pos + 1,
-            total
-        ));
-        log.extend(lines.iter().cloned());
-    }
-    log
-}
-
-/// Finalize a fully built DAG: tag the target stage's image and close
-/// the assembled log exactly like the serial builder. The status is
-/// [`BuildStatus::Degraded`] when any stage used a base-image fallback
-/// or succeeded only on a post-panic retry.
-fn dag_success(shared: &BatchShared, build: usize, dag: &DagBuild) {
-    let request = &shared.requests[build];
-    let (status, result, trace) = {
-        let state = lock(&dag.state);
-        let image = state
-            .images
-            .get(&dag.plan.target())
-            .expect("target stage built")
-            .clone();
-        let mut meta = image.meta.clone();
-        meta.tag = request.options.tag.clone();
-        let image = Image { meta, fs: image.fs };
-        let mut log = assemble_dag_log(&dag.plan, &state.logs);
-        let walked: usize = dag
-            .plan
-            .order()
-            .iter()
-            .map(|&i| dag.plan.stage_instructions(i).len())
-            .sum();
-        finish_log(&mut log, &request.options, state.modified, walked);
-        let degraded = state.stats.base_fallbacks > 0 || !state.panicked.is_empty();
-        (
-            if degraded {
-                BuildStatus::Degraded
-            } else {
-                BuildStatus::Done
-            },
-            BuildResult {
-                success: true,
-                log,
-                image: Some(image),
-                modified_run_instructions: state.modified,
-                tag: request.options.tag.clone(),
-                cache: state.stats,
-                degraded,
-                error: None,
-            },
-            state.trace.clone(),
-        )
-    };
-    finalize(shared, build, status, result, trace);
-}
-
-/// Finalize a halted DAG (`Failed` after a stage error, `Cancelled`
-/// otherwise) with whatever stage logs were produced.
-fn dag_halted(shared: &BatchShared, build: usize, dag: &DagBuild, status: BuildStatus) {
-    let request = &shared.requests[build];
-    let (result, trace) = {
-        let state = lock(&dag.state);
-        let error = match status {
-            BuildStatus::Failed => state.error.clone().unwrap_or(BuildError::Cancelled),
-            _ => BuildError::Cancelled,
-        };
-        let mut log = assemble_dag_log(&dag.plan, &state.logs);
-        log.push(format!("error: build failed: {error}"));
-        (
-            BuildResult {
-                success: false,
-                log,
-                image: None,
-                modified_run_instructions: state.modified,
-                tag: request.options.tag.clone(),
-                cache: state.stats,
-                degraded: false,
-                error: Some(error),
-            },
-            state.trace.clone(),
-        )
-    };
-    finalize(shared, build, status, result, trace);
-}
-
-/// A popped task whose build (or batch) is already cancelled: end the
-/// build now if no sibling stage is still running (the last running
-/// sibling otherwise finalizes on completion).
-fn cancel_task(shared: &BatchShared, task: Task) {
-    match task.stage {
-        None => finalize(
-            shared,
-            task.build,
-            BuildStatus::Cancelled,
-            synthesized_failure(
-                &shared.requests[task.build].options.tag,
-                BuildError::Cancelled,
-            ),
-            zr_trace::Stats::default(),
-        ),
-        Some(_) => {
-            let dag = shared.dags[task.build]
-                .as_ref()
-                .expect("stage task without a plan");
-            let idle = lock(&dag.state).inflight == 0;
-            if idle {
-                dag_halted(shared, task.build, dag, BuildStatus::Cancelled);
-            }
-        }
-    }
-}
-
-/// Run one opaque request on a private kernel with shared
-/// registry/cache handles. The kernel's tracer is labeled with the
-/// build id so interleaved trace output from concurrent builds stays
-/// attributable.
-fn run_one(shared: &BatchShared, idx: usize) -> (BuildResult, zr_trace::Stats) {
-    worker_fault_hooks();
-    let request = &shared.requests[idx];
-    let mut kernel = Kernel::default_kernel();
-    kernel.trace.set_label(&request.id);
-    let mut builder = Builder::with_shared(shared.registry.clone(), shared.layers.clone());
-    let result = builder.build(&mut kernel, &request.dockerfile, &request.options);
-    let trace = kernel.trace.stats();
-    (result, trace)
-}
-
-fn execute_opaque(shared: &BatchShared, build: usize) {
-    lock(&shared.slots)[build].status = BuildStatus::Running;
-    let outcome = catch_unwind(AssertUnwindSafe(|| run_one(shared, build)));
-    let (result, trace) = outcome.unwrap_or_else(|_| {
-        let tag = &shared.requests[build].options.tag;
-        (
-            synthesized_failure(
-                tag,
-                BuildError::Instruction {
-                    instruction: 0,
-                    message: "builder panicked".into(),
-                },
-            ),
-            zr_trace::Stats::default(),
-        )
-    });
-    let status = if !result.success {
-        BuildStatus::Failed
-    } else if result.degraded {
-        BuildStatus::Degraded
-    } else {
-        BuildStatus::Done
-    };
-    finalize(shared, build, status, result, trace);
+        status,
+        result,
+        std::mem::take(&mut state.trace),
+    );
 }
 
 /// The worker-side fault hooks, evaluated at the top of every task
@@ -808,42 +569,48 @@ fn execute_opaque(shared: &BatchShared, build: usize) {
 /// for its argument in milliseconds, `sched.stage.panic` panics like a
 /// builder bug would.
 fn worker_fault_hooks() {
-    if let Some(ms) = zr_fault::hit(zr_fault::points::SCHED_STAGE_STALL) {
+    if let Some(ms) = zr_fault::hit(points::SCHED_STAGE_STALL) {
         std::thread::sleep(Duration::from_millis(if ms == 0 { 50 } else { ms }));
     }
-    if zr_fault::fires(zr_fault::points::SCHED_STAGE_PANIC) {
+    if zr_fault::fires(points::SCHED_STAGE_PANIC) {
         panic!("injected worker panic");
     }
 }
 
-/// Execute one released stage on a private kernel, then advance the
-/// build's DAG: release newly unblocked dependents, or finalize when
-/// this was the last stage (successfully or not).
-fn execute_stage(shared: &BatchShared, build: usize, stage: usize) {
+/// Run one popped stage task on a private kernel, then advance its
+/// build: release newly unblocked dependents, or close the build when
+/// this was its last stage or it halted with nothing else running.
+/// Every outcome — success, failure, panic, cancellation — lands in the
+/// build's slot; nothing a build does can poison its neighbors.
+fn run_task(shared: &BatchShared, task: Task) {
+    let Task { build, stage } = task;
     let dag = shared.dags[build]
         .as_ref()
         .expect("stage task without a plan");
-    let deps = {
+    let deps: HashMap<usize, _> = {
         let mut state = lock(&dag.state);
-        if state.error.is_some() {
-            // A sibling already failed this build — drop the task; if
-            // nothing else is running the build can end now.
-            let idle = state.inflight == 0;
-            drop(state);
-            if idle {
-                dag_halted(shared, build, dag, BuildStatus::Failed);
+        if state.stages.error().is_some() {
+            // A sibling already failed this build; whichever stage is
+            // still running closes it.
+            return;
+        }
+        if shared.halted(build) {
+            // Cancelled: end the build unless a running stage will.
+            if state.inflight == 0 {
+                close(shared, build, dag, &mut state);
             }
             return;
         }
         state.inflight += 1;
-        let mut deps = HashMap::new();
-        for &d in &dag.plan.stages()[stage].deps {
-            if let Some(image) = state.images.get(&d) {
-                deps.insert(d, image.clone());
-            }
-        }
-        deps
+        let images = state.stages.images();
+        dag.plan.stages()[stage]
+            .deps
+            .iter()
+            .filter_map(|d| Some((*d, images.get(d)?.clone())))
+            .collect()
     };
+    let running = shared.running.fetch_add(1, Ordering::SeqCst) + 1;
+    shared.peak.fetch_max(running, Ordering::SeqCst);
     {
         let mut slots = lock(&shared.slots);
         if slots[build].status == BuildStatus::Queued {
@@ -858,176 +625,127 @@ fn execute_stage(shared: &BatchShared, build: usize, stage: usize) {
             .trace
             .set_label(&format!("{}:{}", request.id, dag.plan.stage_name(stage)));
         let mut builder = Builder::with_shared(shared.registry.clone(), shared.layers.clone());
-        let mut log = Vec::new();
-        let mut modified = 0u32;
-        let mut stats = CacheStats::default();
-        let result = builder.build_stage(
-            &mut kernel,
-            &dag.plan,
-            stage,
-            &request.options,
-            &deps,
-            &mut log,
-            &mut modified,
-            &mut stats,
-        );
-        (result, log, modified, stats, kernel.trace.stats())
+        let (image, output) =
+            builder.build_stage(&mut kernel, &dag.plan, stage, &request.options, &deps);
+        (image, output, kernel.trace.stats())
     }));
-    let panicked = outcome.is_err();
-    let (result, log, modified, stats, trace) = outcome.unwrap_or_else(|_| {
-        (
+    shared.running.fetch_sub(1, Ordering::SeqCst);
+
+    let mut state = lock(&dag.state);
+    state.inflight -= 1;
+    let (image, output, trace) = match outcome {
+        Ok(outcome) => outcome,
+        // A panicked stage gets exactly one retry: the worker survived
+        // (the panic was caught), the stage recorded nothing, and the
+        // build's other stages are untouched — so requeue it and let
+        // the batch proceed, marking the build degraded if it
+        // ultimately succeeds. A second panic of the same stage fails
+        // the build like any stage error.
+        Err(_)
+            if !shared.halted(build)
+                && state.stages.error().is_none()
+                && state.panicked.insert(stage) =>
+        {
+            drop(state);
+            zr_fault::count_panic_retried();
+            lock(&shared.queue).push(request.priority, task);
+            shared.signal.notify();
+            return;
+        }
+        Err(_) => (
             Err(BuildError::Instruction {
                 instruction: 0,
                 message: "builder panicked".into(),
             }),
-            Vec::new(),
-            0,
-            CacheStats::default(),
+            StageOutput::default(),
             zr_trace::Stats::default(),
-        )
-    });
-
-    let mut released = Vec::new();
-    let mut terminal = None;
-    {
-        let mut state = lock(&dag.state);
-        state.inflight -= 1;
-        // A panicked stage gets exactly one retry: the worker survived
-        // (the panic was caught), the stage never recorded a result,
-        // and the build's other stages are untouched — so requeue it
-        // and let the batch proceed, marking the build degraded if it
-        // ultimately succeeds. A second panic of the same stage fails
-        // the build like any stage error.
-        let halted = shared.cancelled.load(Ordering::SeqCst)
-            || shared.build_cancelled[build].load(Ordering::SeqCst);
-        if panicked && !halted && state.error.is_none() && state.panicked.insert(stage) {
-            drop(state);
-            zr_fault::count_panic_retried();
-            lock(&shared.queue).push(
-                request.priority,
-                Task {
-                    build,
-                    stage: Some(stage),
-                },
-            );
+        ),
+    };
+    merge_trace(&mut state.trace, &trace);
+    if image.is_ok() {
+        state.remaining -= 1;
+    }
+    let chunk = LogEvent::Stage {
+        build,
+        stage: dag.plan.stage_name(stage),
+        lines: output.log.clone(),
+    };
+    state.stages.record(stage, image, output);
+    // Streamed under the state lock: every chunk of a build precedes
+    // the Done event its closing stage sends.
+    publish(shared, build, chunk);
+    let halted = state.stages.error().is_some() || shared.halted(build);
+    if state.remaining == 0 || (halted && state.inflight == 0) {
+        close(shared, build, dag, &mut state);
+    } else if !halted {
+        // Plan order keeps the release (and therefore single-worker
+        // execution) order deterministic.
+        let mut released = false;
+        let mut queue = lock(&shared.queue);
+        for &next in dag.plan.order() {
+            if !dag.plan.stages()[next].deps.contains(&stage) {
+                continue;
+            }
+            let Some(count) = state.pending.get_mut(&next) else {
+                continue;
+            };
+            *count -= 1;
+            if *count == 0 {
+                state.pending.remove(&next);
+                queue.push(request.priority, Task { build, stage: next });
+                released = true;
+            }
+        }
+        drop(queue);
+        if released {
             shared.signal.notify();
-            return;
         }
-        state.logs.insert(stage, log);
-        state.stats.hits += stats.hits;
-        state.stats.misses += stats.misses;
-        state.stats.base_fallbacks += stats.base_fallbacks;
-        state.modified += modified;
-        merge_trace(&mut state.trace, &trace);
-        match result {
-            Ok(image) => {
-                state.images.insert(stage, image);
-                state.remaining -= 1;
-                if state.remaining == 0 && state.error.is_none() {
-                    terminal = Some(BuildStatus::Done);
-                } else {
-                    let halted = state.error.is_some()
-                        || shared.cancelled.load(Ordering::SeqCst)
-                        || shared.build_cancelled[build].load(Ordering::SeqCst);
-                    if !halted {
-                        // Plan order keeps the release (and therefore
-                        // single-worker execution) order deterministic.
-                        for &next in dag.plan.order() {
-                            if !dag.plan.stages()[next].deps.contains(&stage) {
-                                continue;
-                            }
-                            if let Some(count) = state.pending.get_mut(&next) {
-                                *count -= 1;
-                                if *count == 0 {
-                                    released.push(next);
-                                }
-                            }
-                        }
-                        for &n in &released {
-                            state.pending.remove(&n);
-                        }
-                    } else if state.inflight == 0 {
-                        terminal = Some(if state.error.is_some() {
-                            BuildStatus::Failed
-                        } else {
-                            BuildStatus::Cancelled
-                        });
-                    }
-                }
-            }
-            Err(e) => {
-                if state.error.is_none() {
-                    state.error = Some(e);
-                }
-                if state.inflight == 0 {
-                    terminal = Some(BuildStatus::Failed);
-                }
-            }
-        }
-    }
-    publish_stage(shared, build, stage);
-    if !released.is_empty() {
-        {
-            let mut queue = lock(&shared.queue);
-            for &next in &released {
-                queue.push(
-                    request.priority,
-                    Task {
-                        build,
-                        stage: Some(next),
-                    },
-                );
-            }
-        }
-        shared.signal.notify();
-    }
-    match terminal {
-        Some(BuildStatus::Done) => dag_success(shared, build, dag),
-        Some(status) => dag_halted(shared, build, dag, status),
-        None => {}
     }
 }
 
-/// Run one popped task end to end, maintaining the concurrency gauge.
-/// Every outcome — success, failure, panic, cancellation — lands in
-/// the build's slot; nothing a build does can poison its neighbors.
-pub(crate) fn run_task(shared: &BatchShared, task: Task) {
-    if shared.cancelled.load(Ordering::SeqCst)
-        || shared.build_cancelled[task.build].load(Ordering::SeqCst)
-    {
-        cancel_task(shared, task);
-        return;
-    }
-    let running = shared.running.fetch_add(1, Ordering::SeqCst) + 1;
-    shared.peak.fetch_max(running, Ordering::SeqCst);
-    match task.stage {
-        None => execute_opaque(shared, task.build),
-        Some(stage) => execute_stage(shared, task.build, stage),
-    }
-    shared.running.fetch_sub(1, Ordering::SeqCst);
+/// The resident pool's shared state: live batches in submission order
+/// (completed ones are pruned on the next submit), the signal idle
+/// workers park on, and the shutdown flag.
+#[derive(Default)]
+struct Pool {
+    batches: Mutex<Vec<Arc<BatchShared>>>,
+    signal: Arc<WorkSignal>,
+    shutdown: AtomicBool,
 }
 
-/// One batch worker: pop and run tasks until every build in the batch
-/// is terminal. Unlike the pre-DAG engine, an empty queue is *not*
-/// the end — stage completions release new tasks — so idle workers
-/// park on the batch signal.
-fn worker(shared: &Arc<BatchShared>, affinity: Affinity) {
+/// Resident worker `index` of `size`: run a task from the earliest live
+/// batch that has one, park when every batch is drained, and exit on
+/// shutdown once nothing is left. In a batch with high-priority work
+/// the first half of the pool prefers the high queue (a lone worker
+/// drains it first — strict priority) and the rest prefer the normal
+/// queue; every worker steals from the other class when its own is
+/// empty.
+fn worker(pool: &Pool, index: usize, size: usize) {
+    let prefers_high = index < size.div_ceil(2);
     loop {
-        match shared.try_pop(affinity) {
-            Some((task, stolen)) => {
+        let grabbed = lock(&pool.batches).iter().find_map(|batch| {
+            let affinity = if batch.has_high && prefers_high {
+                Affinity::High
+            } else {
+                Affinity::Normal
+            };
+            let (task, stolen) = lock(&batch.queue).pop_for(affinity)?;
+            Some((Arc::clone(batch), task, stolen))
+        });
+        match grabbed {
+            Some((batch, task, stolen)) => {
                 if stolen {
-                    shared.note_steal();
+                    batch.steals.fetch_add(1, Ordering::SeqCst);
                 }
-                run_task(shared, task);
+                run_task(&batch, task);
             }
-            None => {
-                if shared.is_complete() {
-                    return;
-                }
-                shared
-                    .signal
-                    .wait_until(|| shared.has_work() || shared.is_complete());
-            }
+            None if pool.shutdown.load(Ordering::SeqCst) => return,
+            None => pool.signal.wait_until(|| {
+                pool.shutdown.load(Ordering::SeqCst)
+                    || lock(&pool.batches)
+                        .iter()
+                        .any(|b| !lock(&b.queue).is_empty())
+            }),
         }
     }
 }
@@ -1036,14 +754,9 @@ fn worker(shared: &Arc<BatchShared>, affinity: Affinity) {
 /// wait for the reports.
 pub struct BatchHandle {
     shared: Arc<BatchShared>,
-    workers: Vec<JoinHandle<()>>,
 }
 
 impl BatchHandle {
-    pub(crate) fn new(shared: Arc<BatchShared>, workers: Vec<JoinHandle<()>>) -> BatchHandle {
-        BatchHandle { shared, workers }
-    }
-
     /// Current status of request `idx` (input order).
     pub fn status(&self, idx: usize) -> Option<BuildStatus> {
         lock(&self.shared.slots).get(idx).map(|s| s.status)
@@ -1073,27 +786,10 @@ impl BatchHandle {
             return;
         };
         flag.store(true, Ordering::SeqCst);
-        match self.shared.dags[idx].as_ref() {
-            Some(dag) => {
-                let idle = lock(&dag.state).inflight == 0;
-                if idle {
-                    dag_halted(&self.shared, idx, dag, BuildStatus::Cancelled);
-                }
-            }
-            None => {
-                let queued = lock(&self.shared.slots)[idx].status == BuildStatus::Queued;
-                if queued {
-                    finalize(
-                        &self.shared,
-                        idx,
-                        BuildStatus::Cancelled,
-                        synthesized_failure(
-                            &self.shared.requests[idx].options.tag,
-                            BuildError::Cancelled,
-                        ),
-                        zr_trace::Stats::default(),
-                    );
-                }
+        if let Some(dag) = &self.shared.dags[idx] {
+            let mut state = lock(&dag.state);
+            if state.inflight == 0 {
+                close(&self.shared, idx, dag, &mut state);
             }
         }
         self.shared.signal.notify();
@@ -1111,110 +807,72 @@ impl BatchHandle {
         self.shared.steals.load(Ordering::SeqCst)
     }
 
-    /// Subscribe to build `idx`'s log stream: one
-    /// [`LogEvent::Stage`] per completed stage (the whole log at once
-    /// for single-stage builds), then [`LogEvent::Done`]. Subscribing
-    /// after work started replays every event already streamed, so the
-    /// receiver always sees a complete history.
+    /// Subscribe to build `idx`'s log stream: one [`LogEvent::Stage`]
+    /// per completed stage, then [`LogEvent::Done`]. Subscribing after
+    /// work started replays every event already streamed, so the
+    /// receiver always sees a complete history. An index outside the
+    /// batch yields a closed receiver.
     pub fn subscribe(&self, idx: usize) -> mpsc::Receiver<LogEvent> {
         let (tx, rx) = mpsc::channel();
-        let shared = &self.shared;
-        let mut subs = lock(&shared.subs);
-        if let Some(dag) = shared.dags.get(idx).and_then(|d| d.as_ref()) {
-            let state = lock(&dag.state);
-            for &s in dag.plan.order() {
-                if state.streamed.contains(&s) {
-                    if let Some(lines) = state.logs.get(&s) {
-                        let _ = tx.send(LogEvent::Stage {
-                            build: idx,
-                            stage: dag.plan.stage_name(s),
-                            lines: lines.clone(),
-                        });
-                    }
-                }
+        if let Some(stream) = lock(&self.shared.streams).get_mut(idx) {
+            for event in &stream.history {
+                let _ = tx.send(event.clone());
             }
+            stream.subscribers.push(tx);
         }
-        {
-            let slots = lock(&shared.slots);
-            if let Some(slot) = slots.get(idx) {
-                if slot.log_streamed {
-                    if let Some(result) = &slot.result {
-                        let _ = tx.send(LogEvent::Stage {
-                            build: idx,
-                            stage: "build".into(),
-                            lines: result.log.clone(),
-                        });
-                    }
-                }
-                if slot.done_streamed {
-                    let _ = tx.send(LogEvent::Done {
-                        build: idx,
-                        status: slot.status,
-                    });
-                }
-            }
-        }
-        subs.entry(idx).or_default().push(tx);
         rx
     }
 
     /// Block until every build is terminal and return one report per
     /// request, in input order.
     pub fn wait(self) -> Vec<BuildReport> {
-        let own_workers = !self.workers.is_empty();
-        self.shared.signal.wait_until(|| {
-            self.shared.is_complete()
-                || (own_workers && self.workers.iter().all(|w| w.is_finished()))
-        });
-        for w in self.workers {
-            let _ = w.join();
-        }
-        // Belt and braces: if a worker died outside the panic guard,
-        // drain and cancel whatever it left queued.
-        while let Some((task, _)) = self.shared.try_pop(Affinity::Normal) {
-            cancel_task(&self.shared, task);
-        }
-        let mut slots = lock(&self.shared.slots);
-        self.shared
+        let shared = &self.shared;
+        shared.signal.wait_until(|| shared.is_complete());
+        let mut slots = lock(&shared.slots);
+        shared
             .requests
             .iter()
             .zip(slots.iter_mut())
-            .map(|(request, slot)| {
-                let status = match slot.status {
-                    BuildStatus::Queued | BuildStatus::Running => BuildStatus::Cancelled,
-                    terminal => terminal,
-                };
-                let result = slot.result.take().unwrap_or_else(|| {
-                    synthesized_failure(&request.options.tag, BuildError::Cancelled)
-                });
-                BuildReport {
-                    id: request.id.clone(),
-                    status,
-                    result,
-                    trace: slot.trace.take().unwrap_or_default(),
-                    seq: slot.seq,
-                }
+            .map(|(request, slot)| BuildReport {
+                id: request.id.clone(),
+                status: slot.status,
+                result: slot.result.take().expect("a terminal build has a result"),
+                trace: std::mem::take(&mut slot.trace),
+                seq: slot.seq,
             })
             .collect()
     }
 }
 
-/// The build scheduler: a configurable worker pool over one shared
-/// registry and one shared layer cache.
+/// The build scheduler: a resident worker pool over one shared registry
+/// and one shared layer cache.
 ///
-/// Batches are independent — each `submit`/`build_many` spins up its
-/// own workers — but the registry's pull-through blob cache and the
-/// layer store persist across batches, so a second batch of familiar
-/// Dockerfiles replays instead of executing. For a long-lived pool
-/// that persists across batches, see [`Daemon`](crate::Daemon).
+/// The `jobs` workers start when the scheduler is built and live until
+/// it is dropped; every batch submitted runs on them, earliest batch
+/// first. The registry's pull-through blob cache and the layer store
+/// persist across batches, so a second batch of familiar Dockerfiles
+/// replays instead of executing.
+///
+/// ```
+/// use zr_sched::{BuildRequest, Scheduler, SchedulerConfig};
+///
+/// let sched = Scheduler::new(SchedulerConfig { jobs: 2, ..SchedulerConfig::default() });
+/// let first = sched.build_many(vec![BuildRequest::new("a", "FROM alpine:3.19\n")]);
+/// let second = sched.build_many(vec![BuildRequest::new("b", "FROM alpine:3.19\n")]);
+/// assert!(first[0].result.success && second[0].result.success);
+/// // Same pool, same caches: the second batch replayed the pull.
+/// assert_eq!(second[0].result.cache.misses, 0);
+/// ```
 pub struct Scheduler {
-    config: SchedulerConfig,
+    fail_fast: bool,
     registry: Arc<ShardedRegistry>,
     layers: LayerStore,
     /// The persistent tier behind `cache_dir`, kept so callers can
     /// surface absorbed store errors and stats (persist failures must
     /// not fail builds, but they must not be invisible either).
     disk: Option<Arc<zr_store::DiskLayers>>,
+    pool: Arc<Pool>,
+    workers: Vec<JoinHandle<()>>,
 }
 
 impl Default for Scheduler {
@@ -1257,24 +915,22 @@ impl Scheduler {
             }
             None => (LayerStore::with_budget(config.cache_limit), None),
         };
-        let mut sched = Scheduler::with_shared(config, registry, layers);
-        sched.disk = disk;
-        Ok(sched)
-    }
-
-    /// A scheduler over externally owned registry/cache handles (share
-    /// them with other schedulers, a CLI builder, tests, ...).
-    pub fn with_shared(
-        config: SchedulerConfig,
-        registry: Arc<ShardedRegistry>,
-        layers: LayerStore,
-    ) -> Scheduler {
-        Scheduler {
-            config,
+        let pool = Arc::new(Pool::default());
+        let size = config.jobs.max(1);
+        let workers = (0..size)
+            .map(|index| {
+                let pool = Arc::clone(&pool);
+                std::thread::spawn(move || worker(&pool, index, size))
+            })
+            .collect();
+        Ok(Scheduler {
+            fail_fast: config.fail_fast,
             registry,
             layers,
-            disk: None,
-        }
+            disk,
+            pool,
+            workers,
+        })
     }
 
     /// The shared registry handle.
@@ -1293,47 +949,57 @@ impl Scheduler {
         self.disk.as_ref()
     }
 
-    /// Enqueue a batch and return immediately with a [`BatchHandle`].
-    ///
-    /// The worker count is `jobs` clamped to the batch's task width —
-    /// the total stage count, not the request count, so a single
-    /// multi-stage build still gets enough workers to overlap its
-    /// independent stages.
+    /// Plan a batch, enqueue it on the resident pool, and return
+    /// immediately with a [`BatchHandle`].
     pub fn submit(&self, requests: Vec<BuildRequest>) -> BatchHandle {
-        let signal = Arc::new(WorkSignal::default());
-        let has_high = requests.iter().any(|r| r.priority == Priority::High);
+        // Admission-path fault hooks (`sched.daemon.submit.*`): a
+        // stall delays the enqueue (arg = milliseconds), widening the
+        // submit/shutdown race window for soak runs.
+        if let Some(ms) = zr_fault::hit(points::SCHED_DAEMON_SUBMIT_STALL) {
+            std::thread::sleep(Duration::from_millis(if ms == 0 { 50 } else { ms }));
+        }
         let shared = make_batch(
             requests,
-            self.config.fail_fast,
+            self.fail_fast,
             self.registry.clone(),
             self.layers.clone(),
-            signal,
+            self.pool.signal.clone(),
         );
-        let width: usize = shared
-            .dags
-            .iter()
-            .map(|d| d.as_ref().map_or(1, |dag| dag.plan.order().len()))
-            .sum();
-        let n = self.config.jobs.max(1).min(width.max(1));
-        let workers = (0..n)
-            .map(|i| {
-                let shared = Arc::clone(&shared);
-                // With both classes populated, the first half of the
-                // pool is affine to high-priority work (a lone worker
-                // drains high first — strict priority, as before).
-                let affinity = if has_high && i < n.div_ceil(2) {
-                    Affinity::High
-                } else {
-                    Affinity::Normal
-                };
-                std::thread::spawn(move || worker(&shared, affinity))
-            })
-            .collect();
-        BatchHandle::new(shared, workers)
+        // A poisoned submit panics inside the batch list's critical
+        // section (poisoning the mutex exactly as a crashed submitter
+        // would). The panic is absorbed here and the enqueue retried:
+        // resident workers recover poisoned guards, so the pool must
+        // ride it out.
+        let enqueue = |poison: bool| {
+            let mut batches = lock(&self.pool.batches);
+            if poison && zr_fault::fires(points::SCHED_DAEMON_SUBMIT_POISON) {
+                panic!("injected submit poison");
+            }
+            batches.retain(|b| !b.is_complete());
+            batches.push(Arc::clone(&shared));
+        };
+        if catch_unwind(AssertUnwindSafe(|| enqueue(true))).is_err() {
+            zr_fault::count_retry();
+            enqueue(false);
+        }
+        self.pool.signal.notify();
+        BatchHandle { shared }
     }
 
     /// Build a whole batch and block for its reports, in input order.
     pub fn build_many(&self, requests: Vec<BuildRequest>) -> Vec<BuildReport> {
         self.submit(requests).wait()
+    }
+}
+
+impl Drop for Scheduler {
+    /// Stop the pool: the workers finish every queued task, then exit
+    /// and are joined.
+    fn drop(&mut self) {
+        self.pool.shutdown.store(true, Ordering::SeqCst);
+        self.pool.signal.notify();
+        for worker in self.workers.drain(..) {
+            let _ = worker.join();
+        }
     }
 }

@@ -1,14 +1,15 @@
-//! Stage-DAG scheduling: determinism, stage overlap, cancellation
-//! across the DAG, work stealing, and daemon mode.
+//! Stage-DAG scheduling: determinism, agreement with the serial
+//! builder, stage overlap, cancellation across the DAG, work stealing,
+//! and the resident pool.
 
 use std::time::Duration;
 
 use zeroroot_core::Mode;
-use zr_build::BuildOptions;
+use zr_build::{BuildError, BuildOptions, BuildResult, Builder};
 use zr_image::PullCost;
+use zr_kernel::Kernel;
 use zr_sched::{
-    BatchHandle, BuildReport, BuildRequest, BuildStatus, Daemon, LogEvent, Scheduler,
-    SchedulerConfig,
+    BatchHandle, BuildReport, BuildRequest, BuildStatus, LogEvent, Scheduler, SchedulerConfig,
 };
 
 /// The canonical diamond: two independent middle stages off one base,
@@ -286,11 +287,8 @@ fn uniform_class_batches_never_steal() {
 
 #[test]
 fn daemon_pool_persists_caches_across_batches() {
-    let daemon = Daemon::new(SchedulerConfig {
-        jobs: 2,
-        ..SchedulerConfig::default()
-    });
-    let first = daemon.build_many(vec![diamond_request("a")]);
+    let sched = scheduler(2);
+    let first = sched.build_many(vec![diamond_request("a")]);
     assert_eq!(
         first[0].status,
         BuildStatus::Done,
@@ -300,7 +298,7 @@ fn daemon_pool_persists_caches_across_batches() {
     assert_eq!(first[0].result.cache.hits, 0);
     // Second batch, same resident pool: everything replays from the
     // shared layer store the first batch kept warm.
-    let second = daemon.build_many(vec![diamond_request("b")]);
+    let second = sched.build_many(vec![diamond_request("b")]);
     assert_eq!(second[0].status, BuildStatus::Done);
     assert_eq!(
         second[0].result.cache.misses,
@@ -308,16 +306,12 @@ fn daemon_pool_persists_caches_across_batches() {
         "{}",
         second[0].result.log_text()
     );
-    daemon.shutdown();
 }
 
 #[test]
 fn daemon_streams_per_stage_logs() {
-    let daemon = Daemon::new(SchedulerConfig {
-        jobs: 2,
-        ..SchedulerConfig::default()
-    });
-    let handle = daemon.submit(vec![diamond_request("d")]);
+    let sched = scheduler(2);
+    let handle = sched.submit(vec![diamond_request("d")]);
     let rx = handle.subscribe(0);
     let mut stages = Vec::new();
     let mut done = None;
@@ -344,5 +338,112 @@ fn daemon_streams_per_stage_logs() {
     }
     let reports = handle.wait();
     assert_eq!(reports[0].status, BuildStatus::Done);
-    daemon.shutdown();
+}
+
+/// Figure 2: the paper's single-stage build.
+const FIG2: &str = "FROM centos:7\nRUN yum install -y openssh\n";
+
+/// A single retained stage behind a stage nothing references.
+const PRUNED: &str = "FROM alpine:3.19 AS unused\nRUN echo u > /u\n\
+                      FROM centos:7\nRUN yum install -y openssh\n";
+
+#[test]
+fn scheduler_and_serial_builder_agree_on_every_shape() {
+    // name, Dockerfile, --force mode, --target, a log excerpt that
+    // shows the shape is what it claims to be
+    let shapes = [
+        ("single-stage", FIG2, Mode::Seccomp, None, "Complete!"),
+        (
+            "pruned",
+            PRUNED,
+            Mode::Seccomp,
+            None,
+            "skipping unused stage: unused\n=== stage 1 (1/1) ===",
+        ),
+        (
+            "diamond",
+            DIAMOND,
+            Mode::Seccomp,
+            None,
+            "=== stage left (2/4) ===",
+        ),
+        (
+            "target",
+            DIAMOND,
+            Mode::Seccomp,
+            Some("left"),
+            "grown in 4 instructions",
+        ),
+        (
+            "parse-error",
+            "FROM alpine:3.19 AS base\nCOPY --from=base /x /y\n",
+            Mode::Seccomp,
+            None,
+            "refers to its own stage",
+        ),
+        (
+            "missing-from",
+            "ARG A=1\n",
+            Mode::Seccomp,
+            None,
+            "build before FROM",
+        ),
+        (
+            "unknown-target",
+            DIAMOND,
+            Mode::Seccomp,
+            Some("ghost"),
+            "unknown build target",
+        ),
+        ("failing-run", FIG2, Mode::None, None, "cpio: chown"),
+    ];
+    let digest = |r: &BuildResult| r.image.as_ref().map(|image| image.digest());
+    for (name, dockerfile, mode, target, excerpt) in shapes {
+        let mut options = BuildOptions::new(name, mode);
+        options.target = target.map(str::to_string);
+        let serial = Builder::new().build(&mut Kernel::default_kernel(), dockerfile, &options);
+        assert!(
+            serial.log_text().contains(excerpt),
+            "{name}:\n{}",
+            serial.log_text()
+        );
+        let report = scheduler(2)
+            .build_many(vec![BuildRequest::with_options(name, dockerfile, options)])
+            .remove(0);
+        let want = if serial.success {
+            BuildStatus::Done
+        } else {
+            BuildStatus::Failed
+        };
+        assert_eq!(report.status, want, "{name}:\n{}", report.result.log_text());
+        let scheduled = &report.result;
+        assert_eq!(scheduled.log, serial.log, "{name}: log");
+        assert_eq!(scheduled.error, serial.error, "{name}: error");
+        assert_eq!(scheduled.cache, serial.cache, "{name}: cache");
+        assert_eq!(digest(scheduled), digest(&serial), "{name}: image digest");
+    }
+}
+
+#[test]
+fn a_plan_error_under_fail_fast_cancels_the_rest_of_its_batch() {
+    let sched = Scheduler::new(SchedulerConfig {
+        jobs: 2,
+        fail_fast: true,
+        ..SchedulerConfig::default()
+    });
+    let mut bad = BuildRequest::new("bad", DIAMOND);
+    bad.options.target = Some("ghost".into());
+    let reports = sched.build_many(vec![diamond_request("a"), bad, diamond_request("b")]);
+    assert_eq!(reports[1].status, BuildStatus::Failed);
+    assert!(
+        matches!(reports[1].result.error, Some(BuildError::Plan(_))),
+        "{:?}",
+        reports[1].result.error
+    );
+    assert_eq!(reports[1].seq, Some(0), "a plan error ends at submit");
+    for r in [&reports[0], &reports[2]] {
+        assert_eq!(r.status, BuildStatus::Cancelled, "{}", r.result.log_text());
+        assert_eq!(r.result.error, Some(BuildError::Cancelled));
+        assert!(r.seq.is_none());
+    }
 }

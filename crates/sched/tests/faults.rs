@@ -1,6 +1,7 @@
 //! Scheduler behavior under injected worker faults: panic isolation,
-//! retry-once degradation, deterministic dependent handling, and
-//! daemon survival of a poisoned batch.
+//! retry-once degradation (single- and multi-stage alike),
+//! deterministic dependent handling, and resident-pool survival of a
+//! poisoned batch.
 //!
 //! Every test installs a [`zr_fault::FaultPlan`]; the returned guard
 //! holds the fault plane's process-wide serial lock, so these tests
@@ -10,7 +11,7 @@
 use zeroroot_core::Mode;
 use zr_build::BuildOptions;
 use zr_fault::{points, FaultPlan};
-use zr_sched::{BuildRequest, BuildStatus, Daemon, Scheduler, SchedulerConfig};
+use zr_sched::{BuildRequest, BuildStatus, Scheduler, SchedulerConfig};
 
 /// The canonical diamond from the DAG suite: two independent middle
 /// stages off one base, joined by `COPY --from=`.
@@ -48,6 +49,40 @@ fn a_single_worker_panic_degrades_but_completes_the_build() {
     let want = clean_digest("d");
     let _guard = zr_fault::install(&FaultPlan::new().counted(points::SCHED_STAGE_PANIC, 1, 0, 0));
     let reports = scheduler(2).build_many(vec![diamond_request("d")]);
+    let r = &reports[0];
+    assert_eq!(r.status, BuildStatus::Degraded, "{}", r.result.log_text());
+    assert!(r.result.success);
+    assert!(r.result.degraded);
+    assert_eq!(
+        r.result.image.as_ref().unwrap().digest(),
+        want,
+        "a panic-retried build must digest identically to a clean one"
+    );
+    let c = zr_fault::counters();
+    assert_eq!(c.injected, 1);
+    assert_eq!(c.panics_retried, 1);
+}
+
+#[test]
+fn a_single_stage_worker_panic_degrades_like_a_multi_stage_one() {
+    // Figure 2 is one stage: the panicked stage is retried once, exactly
+    // as in the diamond, and the build lands Degraded, not Failed.
+    let request = || {
+        let options = BuildOptions::new("fig2", Mode::Seccomp);
+        BuildRequest::with_options(
+            "fig2",
+            "FROM centos:7\nRUN yum install -y openssh\n",
+            options,
+        )
+    };
+    let want = {
+        let _guard = zr_fault::install(&FaultPlan::new());
+        let reports = scheduler(1).build_many(vec![request()]);
+        assert_eq!(reports[0].status, BuildStatus::Done);
+        reports[0].result.image.as_ref().unwrap().digest()
+    };
+    let _guard = zr_fault::install(&FaultPlan::new().counted(points::SCHED_STAGE_PANIC, 1, 0, 0));
+    let reports = scheduler(1).build_many(vec![request()]);
     let r = &reports[0];
     assert_eq!(r.status, BuildStatus::Degraded, "{}", r.result.log_text());
     assert!(r.result.success);
@@ -112,22 +147,19 @@ fn a_stalled_worker_delays_but_does_not_fail_the_build() {
 #[test]
 fn the_daemon_survives_a_poisoned_batch_and_accepts_the_next_submit() {
     let want = clean_digest("healthy");
-    let daemon = Daemon::new(SchedulerConfig {
-        jobs: 2,
-        ..SchedulerConfig::default()
-    });
+    let sched = scheduler(2);
     {
         // Enough fires that the victim's base stage panics on its
         // retry too: the whole first batch fails.
         let _guard =
             zr_fault::install(&FaultPlan::new().counted(points::SCHED_STAGE_PANIC, 8, 0, 0));
-        let poisoned = daemon.build_many(vec![diamond_request("poisoned")]);
+        let poisoned = sched.build_many(vec![diamond_request("poisoned")]);
         assert_eq!(poisoned[0].status, BuildStatus::Failed);
     }
     // Plan uninstalled: the resident pool must take the next batch and
     // build it fault-free (warm layers from the failed batch are fine —
     // the base stage never completed, so the digest check is real).
-    let healthy = daemon.build_many(vec![diamond_request("healthy")]);
+    let healthy = sched.build_many(vec![diamond_request("healthy")]);
     assert_eq!(
         healthy[0].status,
         BuildStatus::Done,
@@ -135,7 +167,6 @@ fn the_daemon_survives_a_poisoned_batch_and_accepts_the_next_submit() {
         healthy[0].result.log_text()
     );
     assert_eq!(healthy[0].result.image.as_ref().unwrap().digest(), want);
-    daemon.shutdown();
 }
 
 #[test]
@@ -164,14 +195,11 @@ fn a_poisoned_submit_is_absorbed_without_killing_resident_workers() {
     let want = clean_digest("after-poison");
     let _guard =
         zr_fault::install(&FaultPlan::new().counted(points::SCHED_DAEMON_SUBMIT_POISON, 1, 0, 0));
-    let daemon = Daemon::new(SchedulerConfig {
-        jobs: 2,
-        ..SchedulerConfig::default()
-    });
-    // The first submit panics inside the batch-queue critical section,
-    // poisoning the queue mutex. The daemon absorbs the panic, retries
-    // the enqueue, and the batch still runs to completion.
-    let first = daemon.build_many(vec![diamond_request("poisoned-submit")]);
+    let sched = scheduler(2);
+    // The first submit panics inside the batch-list critical section,
+    // poisoning its mutex. The scheduler absorbs the panic, retries the
+    // enqueue, and the batch still runs to completion.
+    let first = sched.build_many(vec![diamond_request("poisoned-submit")]);
     assert_eq!(
         first[0].status,
         BuildStatus::Done,
@@ -180,25 +208,21 @@ fn a_poisoned_submit_is_absorbed_without_killing_resident_workers() {
     );
     // The resident pool outlives the poisoned mutex: a second batch on
     // the same workers builds clean and digests like a fault-free run.
-    let second = daemon.build_many(vec![diamond_request("after-poison")]);
+    let second = sched.build_many(vec![diamond_request("after-poison")]);
     assert_eq!(second[0].status, BuildStatus::Done);
     assert_eq!(second[0].result.image.as_ref().unwrap().digest(), want);
     let c = zr_fault::counters();
     assert_eq!(c.injected, 1);
     assert!(c.retries >= 1, "the absorbed submit counts as a retry: {c}");
-    daemon.shutdown();
 }
 
 #[test]
 fn a_stalled_submit_delays_admission_but_loses_nothing() {
     let _guard =
         zr_fault::install(&FaultPlan::new().counted(points::SCHED_DAEMON_SUBMIT_STALL, 1, 0, 30));
-    let daemon = Daemon::new(SchedulerConfig {
-        jobs: 2,
-        ..SchedulerConfig::default()
-    });
+    let sched = scheduler(2);
     let start = std::time::Instant::now();
-    let reports = daemon.build_many(vec![diamond_request("slow-submit")]);
+    let reports = sched.build_many(vec![diamond_request("slow-submit")]);
     assert_eq!(
         reports[0].status,
         BuildStatus::Done,
@@ -209,5 +233,4 @@ fn a_stalled_submit_delays_admission_but_loses_nothing() {
         start.elapsed() >= std::time::Duration::from_millis(30),
         "the injected stall must actually delay admission"
     );
-    daemon.shutdown();
 }
