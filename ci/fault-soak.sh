@@ -1,8 +1,9 @@
 #!/bin/sh
 # Probabilistic fault soak over the real CLI binary: seeded random
 # ZR_FAULT plans (worker panics and stalls, submit poison and stalls,
-# store write errors, registry pull errors) against build-many batches
-# on the scheduler's resident worker pool.
+# store write errors and commit crashes, registry pull errors) against
+# build-many batches on the scheduler's resident worker pool, each
+# round persisting its layers into a fresh copy of a --cache-dir store.
 #
 # The gate is liveness, not success: builds are *allowed* to fail under
 # injected faults, but the process must never hang (a timeout kills it)
@@ -47,6 +48,17 @@ printf 'FROM debian:12\nRUN apt-get install -y hello\n' > "$WORK/apt.df"
 BATCH="$WORK/diamond.df $WORK/yum.df $WORK/apt.df"
 EXPECTED=3
 
+# The store every round starts from, initialized by one fault-free
+# build of a Dockerfile outside the batch: the store's `format` file is
+# then already in place, so the plan's store faults land on the
+# batch's layer persists.
+printf 'FROM alpine:3.19\nRUN echo seed > /seed\n' > "$WORK/seed.df"
+if ! ZR_FAULT= "$ZR" build --cache-dir "$WORK/store" -f "$WORK/seed.df" > "$WORK/seed.log" 2>&1; then
+    echo "error: the fault-free store seed build failed" >&2
+    tail -40 "$WORK/seed.log" >&2
+    exit 1
+fi
+
 round=1
 while [ "$round" -le "$ROUNDS" ]; do
     # The sched.daemon.submit.* points fire on every scheduler submit
@@ -57,13 +69,16 @@ sched.stage.stall=p0.08:20;\
 sched.daemon.submit.poison=p0.25;\
 sched.daemon.submit.stall=p0.25:15;\
 store.write.err=p0.03;\
+store.commit.crash=p0.02;\
 registry.pull.err=p0.03"
     echo "fault-soak: round $round/$ROUNDS ZR_FAULT=\"$PLAN\""
 
     OUT="$WORK/round-$round.log"
+    STORE="$WORK/store-$round"
+    cp -R "$WORK/store" "$STORE"
     set +e
     ZR_FAULT="$PLAN" timeout "$TIMEOUT" \
-        "$ZR" build-many --jobs 4 $BATCH > "$OUT" 2>&1
+        "$ZR" build-many --jobs 4 --cache-stats --cache-dir "$STORE" $BATCH > "$OUT" 2>&1
     rc=$?
     set -e
     # 0 (all ok) and 1 (some builds failed under faults) are both
@@ -80,7 +95,7 @@ registry.pull.err=p0.03"
         tail -40 "$OUT" >&2
         exit 1
     fi
-    grep -E '^\[(sched|fault)\]' "$OUT" || true
+    grep -E '^\[(sched|fault|store)\]' "$OUT" || true
     round=$((round + 1))
 done
 echo "fault-soak: $ROUNDS rounds survived (no hang, every build terminal)"

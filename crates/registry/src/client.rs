@@ -57,11 +57,12 @@ fn committed_bytes(response: &Response) -> Result<usize> {
 
 /// A client for one OCI distribution endpoint (`host:port`). One TCP
 /// connection per exchange — plenty for loopback, and it keeps the
-/// failure model trivial. Transient transport failures on the *pull*
-/// side (manifest and blob fetches) are retried under the client's
-/// [`RetryPolicy`], mirroring push's session resume; every connection
-/// carries a read/write deadline so a stalled peer times out instead
-/// of hanging the build.
+/// failure model trivial. Transient failures — transport errors and
+/// 5xx answers — are retried under the client's [`RetryPolicy`] on
+/// both sides: manifest and blob fetches, each blob push (probe plus
+/// upload) and the manifest push. Every connection carries a
+/// read/write deadline so a stalled peer times out instead of hanging
+/// the build.
 #[derive(Debug, Clone)]
 pub struct RemoteRegistry {
     addr: String,
@@ -211,11 +212,20 @@ impl RemoteRegistry {
     /// through an upload session in [`CHUNK_SIZE`] pieces. A chunk
     /// whose connection dies does not restart the blob: the client
     /// probes the session for the server's committed offset and
-    /// resumes from there, up to [`MAX_RESUMES`] times.
+    /// resumes from there, up to [`MAX_RESUMES`] times. Any other
+    /// transient failure (a 500 from the server's store, say) reruns
+    /// the whole probe-plus-upload under the client's retry policy.
     pub fn push_blob(&self, name: &str, data: &[u8]) -> Result<String> {
         let digest = hex(&Sha256::digest(data));
-        if self.has_blob(name, &digest)? {
-            return Ok(digest);
+        self.retry.run(RegistryError::transient, |_| {
+            self.push_blob_once(name, data, &digest)
+        })?;
+        Ok(digest)
+    }
+
+    fn push_blob_once(&self, name: &str, data: &[u8], digest: &str) -> Result<()> {
+        if self.has_blob(name, digest)? {
+            return Ok(());
         }
         if data.len() <= CHUNK_SIZE {
             self.expect(
@@ -224,7 +234,7 @@ impl RemoteRegistry {
                 Some("application/octet-stream"),
                 data,
             )?;
-            return Ok(digest);
+            return Ok(());
         }
         let start = self.expect("POST", &format!("/v2/{name}/blobs/uploads/"), None, &[])?;
         let location = start
@@ -260,7 +270,7 @@ impl RemoteRegistry {
             None,
             &[],
         )?;
-        Ok(digest)
+        Ok(())
     }
 
     /// How many bytes of upload session `location` the server has
@@ -271,14 +281,17 @@ impl RemoteRegistry {
     }
 
     /// Push a manifest under `reference` (tag or `sha256:` digest);
-    /// its config and layer blobs must already be uploaded.
+    /// its config and layer blobs must already be uploaded. Transient
+    /// failures are retried under the client's policy.
     pub fn put_manifest(&self, name: &str, reference: &str, manifest: &[u8]) -> Result<String> {
-        let response = self.expect(
-            "PUT",
-            &format!("/v2/{name}/manifests/{reference}"),
-            Some(MEDIA_MANIFEST),
-            manifest,
-        )?;
+        let response = self.retry.run(RegistryError::transient, |_| {
+            self.expect(
+                "PUT",
+                &format!("/v2/{name}/manifests/{reference}"),
+                Some(MEDIA_MANIFEST),
+                manifest,
+            )
+        })?;
         Ok(response
             .get_header("Docker-Content-Digest")
             .unwrap_or_default()

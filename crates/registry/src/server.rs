@@ -18,6 +18,11 @@
 //! re-push replaces the tag atomically. Every transfer is digest
 //! verified — uploads before a byte is admitted, downloads by the CAS
 //! read path itself.
+//!
+//! Every write goes through one [`zr_store::CasBatch`] commit: an
+//! upload body moves into the batch as a shared [`Blob`] (hashed once
+//! for both the digest check and the store, never copied), and a
+//! manifest lands together with its tag pin.
 
 use std::collections::HashMap;
 use std::io::BufReader;
@@ -29,7 +34,7 @@ use std::time::Duration;
 
 use zr_digest::{hex, Sha256};
 use zr_store::cas::valid_digest;
-use zr_store::Cas;
+use zr_store::{Blob, Cas};
 
 use crate::error::{RegistryError, Result};
 use crate::http::{
@@ -176,7 +181,7 @@ fn handle_connection(state: &State, stream: TcpStream) {
         let response = if zr_fault::fires(zr_fault::points::WIRE_SERVER_HTTP500) {
             Response::error(500, "injected internal error")
         } else {
-            dispatch(state, &request)
+            dispatch(state, request)
         };
         // `wire.server.truncate`: send the full headers but cut the
         // body short (arg = bytes kept, default half) and drop the
@@ -288,7 +293,9 @@ fn parse_route(path: &str) -> Option<Route<'_>> {
     None
 }
 
-fn dispatch(state: &State, request: &Request) -> Response {
+fn dispatch(state: &State, mut request: Request) -> Response {
+    // Handlers that store a body take ownership of it.
+    let body = std::mem::take(&mut request.body);
     let Some(route) = parse_route(request.path()) else {
         return Response::error(404, "unknown route");
     };
@@ -300,7 +307,7 @@ fn dispatch(state: &State, request: &Request) -> Response {
         },
         Route::Manifest { name, reference } => match method {
             "GET" | "HEAD" => get_manifest(state, &name, reference),
-            "PUT" => put_manifest(state, &name, reference, &request.body),
+            "PUT" => put_manifest(state, &name, reference, body),
             _ => Err(method_not_allowed()),
         },
         Route::Blob { digest } => match method {
@@ -308,12 +315,12 @@ fn dispatch(state: &State, request: &Request) -> Response {
             _ => Err(method_not_allowed()),
         },
         Route::UploadStart { name } => match method {
-            "POST" => start_upload(state, &name, request),
+            "POST" => start_upload(state, &name, &request, body),
             _ => Err(method_not_allowed()),
         },
         Route::Upload { name, id } => match method {
-            "PATCH" => patch_upload(state, &name, id, &request.body),
-            "PUT" => finish_upload(state, &name, id, request),
+            "PATCH" => patch_upload(state, &name, id, &body),
+            "PUT" => finish_upload(state, &name, id, &request, body),
             "GET" => upload_status(state, id),
             _ => Err(method_not_allowed()),
         },
@@ -363,8 +370,9 @@ fn get_manifest(state: &State, name: &str, reference: &str) -> Result<Response> 
         .header("Docker-Content-Digest", &format!("sha256:{digest}")))
 }
 
-fn put_manifest(state: &State, name: &str, reference: &str, body: &[u8]) -> Result<Response> {
-    let digest = hex(&Sha256::digest(body));
+fn put_manifest(state: &State, name: &str, reference: &str, body: Vec<u8>) -> Result<Response> {
+    let manifest = Blob::new(body);
+    let digest = manifest.sha_hex();
     // By-digest push must name the digest it carries.
     if let Some(expected) = bare_digest(reference) {
         if expected != digest {
@@ -373,7 +381,7 @@ fn put_manifest(state: &State, name: &str, reference: &str, body: &[u8]) -> Resu
     } else if !valid_component(reference) {
         return Err(status(400, format!("invalid reference {reference:?}")));
     }
-    let summary = zr_store::parse_manifest(&format!("{name}:{reference}"), body)
+    let summary = zr_store::parse_manifest(&format!("{name}:{reference}"), manifest.data())
         .map_err(|e| status(400, format!("invalid manifest: {e}")))?;
     let mut pinned = vec![digest.clone(), summary.config_digest.clone()];
     pinned.extend(summary.layer_digests.iter().cloned());
@@ -396,8 +404,10 @@ fn put_manifest(state: &State, name: &str, reference: &str, body: &[u8]) -> Resu
     let _guard = lock
         .lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner);
-    state.cas.put(body)?;
-    state.cas.pin(&tag_pin(name, reference), &pinned)?;
+    let mut batch = state.cas.batch();
+    batch.put_blob(&manifest)?;
+    batch.pin_with_deps(&tag_pin(name, reference), &pinned, &[])?;
+    batch.commit()?;
     Ok(Response::new(201)
         .header("Location", &format!("/v2/{name}/manifests/sha256:{digest}"))
         .header("Docker-Content-Digest", &format!("sha256:{digest}")))
@@ -414,38 +424,37 @@ fn get_blob(state: &State, digest: &str) -> Result<Response> {
         .header("Docker-Content-Digest", &format!("sha256:{hex_digest}")))
 }
 
-/// Admit `data` iff it hashes to the digest the client claimed.
-fn admit_blob(state: &State, name: &str, claimed: &str, data: &[u8]) -> Result<Response> {
+/// Admit `data` iff it hashes to the digest the client claimed. No
+/// pin is staged, so admitting a blob never triggers budget eviction.
+fn admit_blob(state: &State, name: &str, claimed: &str, data: Vec<u8>) -> Result<Response> {
     let hex_digest =
         bare_digest(claimed).ok_or_else(|| status(400, format!("invalid digest {claimed:?}")))?;
-    if hex(&Sha256::digest(data)) != hex_digest {
+    let blob = Blob::new(data);
+    if blob.sha_hex() != hex_digest {
         return Err(status(
             400,
             format!("upload fails digest verification ({claimed})"),
         ));
     }
-    state.cas.put(data)?;
+    let mut batch = state.cas.batch();
+    batch.put_blob(&blob)?;
+    batch.commit()?;
     Ok(Response::new(201)
         .header("Location", &format!("/v2/{name}/blobs/sha256:{hex_digest}"))
         .header("Docker-Content-Digest", &format!("sha256:{hex_digest}")))
 }
 
-fn start_upload(state: &State, name: &str, request: &Request) -> Result<Response> {
+fn start_upload(state: &State, name: &str, request: &Request, body: Vec<u8>) -> Result<Response> {
     if let Some(claimed) = request.query("digest") {
         // Monolithic: one POST carries the whole blob.
-        return admit_blob(state, name, claimed, &request.body);
+        return admit_blob(state, name, claimed, body);
     }
     let id = state.next_upload.fetch_add(1, Ordering::SeqCst);
     state
         .uploads
         .lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner)
-        .insert(
-            id,
-            Upload {
-                data: request.body.clone(),
-            },
-        );
+        .insert(id, Upload { data: body });
     Ok(Response::new(202)
         .header("Location", &format!("/v2/{name}/blobs/uploads/{id}"))
         .header("Docker-Upload-UUID", &id.to_string())
@@ -492,7 +501,13 @@ fn upload_status(state: &State, id: u64) -> Result<Response> {
     Ok(with_range(Response::new(204), id, total))
 }
 
-fn finish_upload(state: &State, name: &str, id: u64, request: &Request) -> Result<Response> {
+fn finish_upload(
+    state: &State,
+    name: &str,
+    id: u64,
+    request: &Request,
+    body: Vec<u8>,
+) -> Result<Response> {
     let claimed = request
         .query("digest")
         .ok_or_else(|| status(400, "finalize needs ?digest="))?;
@@ -509,6 +524,6 @@ fn finish_upload(state: &State, name: &str, id: u64, request: &Request) -> Resul
             .ok_or_else(|| status(404, format!("upload session {id} unknown")))?
             .data
     };
-    data.extend_from_slice(&request.body);
-    admit_blob(state, name, claimed, &data)
+    data.extend_from_slice(&body);
+    admit_blob(state, name, claimed, data)
 }

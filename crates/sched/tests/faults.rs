@@ -1,7 +1,8 @@
 //! Scheduler behavior under injected worker faults: panic isolation,
 //! retry-once degradation (single- and multi-stage alike),
-//! deterministic dependent handling, and resident-pool survival of a
-//! poisoned batch.
+//! deterministic dependent handling, resident-pool survival of a
+//! poisoned batch, and the degraded `FROM` fallback to a recorded
+//! base.
 //!
 //! Every test installs a [`zr_fault::FaultPlan`]; the returned guard
 //! holds the fault plane's process-wide serial lock, so these tests
@@ -9,7 +10,7 @@
 //! under an *empty* plan for the same reason).
 
 use zeroroot_core::Mode;
-use zr_build::BuildOptions;
+use zr_build::{BuildOptions, CacheMode};
 use zr_fault::{points, FaultPlan};
 use zr_sched::{BuildRequest, BuildStatus, Scheduler, SchedulerConfig};
 
@@ -233,4 +234,46 @@ fn a_stalled_submit_delays_admission_but_loses_nothing() {
         start.elapsed() >= std::time::Duration::from_millis(30),
         "the injected stall must actually delay admission"
     );
+}
+
+#[test]
+fn a_failed_from_pull_falls_back_to_the_recorded_base() {
+    // `blob_budget: 1` keeps nothing in the registry's blob cache (as
+    // `--blob-limit 1` would), so the second batch's FROM really
+    // fetches and the injected pull error reaches the fallback.
+    let sched = Scheduler::new(SchedulerConfig {
+        jobs: 1,
+        blob_budget: 1,
+        ..SchedulerConfig::default()
+    });
+    let request = || {
+        let mut options = BuildOptions::new("fallback", Mode::Seccomp);
+        options.cache = CacheMode::Disabled;
+        BuildRequest::with_options("fallback", "FROM alpine:3.19\nRUN echo hi > /hi\n", options)
+    };
+    let want = {
+        let _guard = zr_fault::install(&FaultPlan::new());
+        let reports = sched.build_many(vec![request()]);
+        assert_eq!(
+            reports[0].status,
+            BuildStatus::Done,
+            "{}",
+            reports[0].result.log_text()
+        );
+        reports[0].result.image.as_ref().unwrap().digest()
+    };
+    let _guard = zr_fault::install(&FaultPlan::new().counted(points::REGISTRY_PULL_ERR, 1, 0, 0));
+    let reports = sched.build_many(vec![request()]);
+    let r = &reports[0];
+    let log = r.result.log_text();
+    assert_eq!(r.status, BuildStatus::Degraded, "{log}");
+    assert_eq!(r.result.cache.base_fallbacks, 1, "{log}");
+    assert!(log.contains("using local copy"), "{log}");
+    assert_eq!(
+        r.result.image.as_ref().unwrap().digest(),
+        want,
+        "the local base must build the same image"
+    );
+    let c = zr_fault::counters();
+    assert_eq!((c.injected, c.base_fallbacks), (1, 1), "{c}");
 }

@@ -30,16 +30,19 @@
 //! appended log or edited archive re-stores only the chunks that
 //! changed.
 //!
-//! Writers that persist many objects at once use a [`CasBatch`]: the
-//! batch stages objects in memory, and `commit` makes them all durable
-//! with a *single* data fsync — a write-ahead pack under `tmp/` holds
-//! every staged byte, the object files then land via unsynced
-//! tmp+rename (readers still never see a torn write), and one fsync
-//! per touched directory seals the names. If the writer crashes after
-//! the pack fsync, reopening replays the pack and rewrites its
-//! objects; if it crashes before, no rename ever happened. Same
-//! atomicity as `put`, two orders of magnitude fewer journal round
-//! trips.
+//! Every write takes one path, [`CasBatch::commit`]: [`Cas::put`],
+//! [`Cas::put_blob`], [`Cas::pin_with_deps`] and [`Cas::set_budget`]
+//! each stage into a batch and commit it, so the store's fault points
+//! and crash checkpoints cover a registry upload, a pin and a layer
+//! persist alike. A batch stages objects in memory (a shared [`Blob`]
+//! by `Arc`, uncopied). One object commits as a synced tmp+rename; many
+//! become durable with a *single* data fsync — a write-ahead pack
+//! under `tmp/` streams every staged byte, the object files then land
+//! via unsynced tmp+rename (readers still never see a torn write), and
+//! one fsync per touched directory seals the names. If the writer
+//! crashes after the pack fsync, reopening replays the pack and
+//! rewrites its objects; if it crashes before, no rename ever
+//! happened.
 //!
 //! Deletion is garbage collection, not eviction: named *roots* pin the
 //! digests they reference (a layer pins its tree record and payload
@@ -278,52 +281,68 @@ fn commit_crash_point() -> Result<()> {
     Ok(())
 }
 
+/// How many bytes of a `len`-byte write an injected torn write keeps:
+/// the point's arg, or half when the plan sets none.
+fn torn_keep(arg: u64, len: u64) -> u64 {
+    if arg == 0 {
+        len / 2
+    } else {
+        arg.min(len)
+    }
+}
+
 /// Write `data` to `path` atomically: staging file in `tmp`, fsync,
-/// rename. Shared by blobs, pins, layer records and the OCI exporter.
+/// rename. Used where no [`Cas`] handle exists yet or none applies:
+/// the `format` file at open, pack replay, and the OCI exporter.
 /// Staging names are unique per process (pid) *and* per write (a
 /// process-global counter), so any number of handles and threads can
 /// stage into one directory without collisions. Returns whether the
 /// directory fsync that makes the *name* durable succeeded.
+pub(crate) fn atomic_write(tmp_dir: &Path, path: &Path, data: &[u8]) -> Result<bool> {
+    let staging = staging_path(tmp_dir);
+    write_synced(&staging, data)?;
+    rename_staged(&staging, path)?;
+    Ok(sync_parent_dir(path))
+}
+
+/// First half of an atomic write: `data` lands in the staging file and
+/// is fsync'd. Nothing is visible under a final name yet.
 ///
 /// Fault plane: `store.write.err` fails before any byte lands;
 /// `store.write.torn` leaves a prefix in staging (arg = bytes kept,
-/// default half) and errors; `store.fsync.err` and `store.rename.err`
-/// fail those steps with the same on-disk residue the real failure
-/// would leave.
-pub(crate) fn atomic_write(tmp_dir: &Path, path: &Path, data: &[u8]) -> Result<bool> {
+/// default half) and errors; `store.fsync.err` fails the fsync with the
+/// unsynced staging file left behind, as a real failure would.
+fn write_synced(staging: &Path, data: &[u8]) -> Result<()> {
     if zr_fault::fires(zr_fault::points::STORE_WRITE_ERR) {
         return Err(injected("injected store write error"));
     }
-    let staging = staging_path(tmp_dir);
-    if let Some(keep) = zr_fault::hit(zr_fault::points::STORE_WRITE_TORN) {
-        let keep = if keep == 0 {
-            data.len() / 2
-        } else {
-            keep as usize
-        };
-        let _ = fs::write(&staging, &data[..keep.min(data.len())]);
+    if let Some(arg) = zr_fault::hit(zr_fault::points::STORE_WRITE_TORN) {
+        let keep = torn_keep(arg, data.len() as u64) as usize;
+        let _ = fs::write(staging, &data[..keep]);
         return Err(injected("injected torn store write"));
     }
-    {
-        let mut f = fs::File::create(&staging)?;
-        f.write_all(data)?;
-        if zr_fault::fires(zr_fault::points::STORE_FSYNC_ERR) {
-            return Err(injected("injected store fsync error"));
-        }
-        f.sync_all()?;
+    let mut f = fs::File::create(staging)?;
+    f.write_all(data)?;
+    if zr_fault::fires(zr_fault::points::STORE_FSYNC_ERR) {
+        return Err(injected("injected store fsync error"));
     }
-    if zr_fault::fires(zr_fault::points::STORE_RENAME_ERR) {
-        let _ = fs::remove_file(&staging);
-        return Err(injected("injected store rename error"));
+    f.sync_all()?;
+    Ok(())
+}
+
+/// Second half of an atomic write: publish a staging file under its
+/// final name. On failure (`store.rename.err` or a real one) the
+/// staging file is removed.
+fn rename_staged(staging: &Path, path: &Path) -> Result<()> {
+    let renamed = if zr_fault::fires(zr_fault::points::STORE_RENAME_ERR) {
+        Err(injected("injected store rename error"))
+    } else {
+        fs::rename(staging, path).map_err(StoreError::from)
+    };
+    if renamed.is_err() {
+        let _ = fs::remove_file(staging);
     }
-    match fs::rename(&staging, path) {
-        Ok(()) => {}
-        Err(e) => {
-            let _ = fs::remove_file(&staging);
-            return Err(e.into());
-        }
-    }
-    Ok(sync_parent_dir(path))
+    renamed
 }
 
 impl Cas {
@@ -503,19 +522,8 @@ impl Cas {
         self.inner.root.join("layers")
     }
 
-    /// Atomic write into the store tree (staging + rename), for record
-    /// files that are not content-addressed (pins, layer records).
-    /// Directory-fsync failures are counted, not swallowed.
-    pub(crate) fn write_record(&self, path: &Path, data: &[u8]) -> Result<()> {
-        let dir_synced = atomic_write(&self.inner.root.join("tmp"), path, data)?;
-        if !dir_synced {
-            self.lock().stats.dir_fsync_failures += 1;
-        }
-        Ok(())
-    }
-
-    /// Open a write batch: stage many objects, then make them durable
-    /// with one grouped fsync pass in [`CasBatch::commit`].
+    /// Open a write batch: stage objects, pins and records, then make
+    /// them durable together in [`CasBatch::commit`].
     pub fn batch(&self) -> CasBatch {
         CasBatch {
             cas: self.clone(),
@@ -529,104 +537,19 @@ impl Cas {
     /// is not rewritten (and counts as a dedup skip). Content at or
     /// above the chunking threshold is stored as chunks plus an index.
     pub fn put(&self, data: &[u8]) -> Result<String> {
-        let digest = hex(&Sha256::digest(data));
-        self.put_as(&digest, data)?;
+        let mut batch = self.batch();
+        let digest = batch.put(data)?;
+        batch.commit()?;
         Ok(digest)
     }
 
     /// Store an already-digested [`Blob`] (the memoized SHA-256 means
-    /// no re-hash).
+    /// no re-hash, and the payload is not copied).
     pub fn put_blob(&self, blob: &Arc<Blob>) -> Result<String> {
-        let digest = blob.sha_hex();
-        self.put_as(&digest, blob.data())?;
+        let mut batch = self.batch();
+        let digest = batch.put_blob(blob)?;
+        batch.commit()?;
         Ok(digest)
-    }
-
-    fn put_as(&self, digest: &str, data: &[u8]) -> Result<()> {
-        debug_assert!(valid_digest(digest));
-        // Known-digest fast path: the per-instruction persist of a
-        // mostly-unchanged tree must not stat every unchanged blob.
-        {
-            let mut state = self.lock();
-            if state.known.contains(digest) {
-                state.stats.dedup_skips += 1;
-                return Ok(());
-            }
-        }
-        if data.len() >= CHUNK_THRESHOLD {
-            return self.put_chunked(digest, data);
-        }
-        let path = self.blob_path(digest);
-        if path.exists() {
-            let mut state = self.lock();
-            state.known.insert(digest.to_string());
-            state.stats.dedup_skips += 1;
-            return Ok(());
-        }
-        self.write_record(&path, data)?;
-        let mut state = self.lock();
-        state.known.insert(digest.to_string());
-        state.stats.writes += 1;
-        state.stats.written_bytes += data.len() as u64;
-        state.stats.blobs += 1;
-        state.stats.bytes += data.len() as u64;
-        Ok(())
-    }
-
-    /// Store a large payload as content-defined chunks plus an index
-    /// record named by the logical digest. Chunks that already exist
-    /// (an earlier version of the same file, a sibling process) are
-    /// not rewritten — that is the whole point.
-    fn put_chunked(&self, digest: &str, data: &[u8]) -> Result<()> {
-        let index_path = self.chunk_index_path(digest);
-        if index_path.exists() {
-            let mut state = self.lock();
-            state.known.insert(digest.to_string());
-            state.stats.dedup_skips += 1;
-            return Ok(());
-        }
-        let mut chunks: Vec<(String, u64)> = Vec::new();
-        let mut saved = 0u64;
-        for (start, end) in chunk_spans(data) {
-            let chunk = &data[start..end];
-            let chunk_digest = hex(&Sha256::digest(chunk));
-            if self.store_chunk(&chunk_digest, chunk)? {
-                saved += chunk.len() as u64;
-            }
-            chunks.push((chunk_digest, chunk.len() as u64));
-        }
-        let record = encode_chunk_index(data.len() as u64, &chunks);
-        self.write_record(&index_path, &record)?;
-        let mut state = self.lock();
-        state.known.insert(digest.to_string());
-        state.stats.chunk_indexes += 1;
-        state.index_bytes += record.len() as u64;
-        state.stats.chunk_dedup_saved += saved;
-        Ok(())
-    }
-
-    /// Store one chunk object (never re-chunked, whatever its size).
-    /// Returns `true` when the chunk already existed (deduplicated).
-    fn store_chunk(&self, digest: &str, data: &[u8]) -> Result<bool> {
-        {
-            let state = self.lock();
-            if state.known.contains(digest) {
-                return Ok(true);
-            }
-        }
-        let path = self.blob_path(digest);
-        if path.exists() {
-            self.lock().known.insert(digest.to_string());
-            return Ok(true);
-        }
-        self.write_record(&path, data)?;
-        let mut state = self.lock();
-        state.known.insert(digest.to_string());
-        state.stats.writes += 1;
-        state.stats.written_bytes += data.len() as u64;
-        state.stats.blobs += 1;
-        state.stats.bytes += data.len() as u64;
-        Ok(false)
     }
 
     /// Is the digest present (whole or chunked)?
@@ -726,30 +649,9 @@ impl Cas {
     /// without its parent chain). Budget eviction never removes a dep
     /// while a dependent survives — it removes the dependents too.
     pub fn pin_with_deps(&self, name: &str, digests: &[String], deps: &[String]) -> Result<()> {
-        if !valid_name(name) {
-            return Err(StoreError::corrupt(format!("bad root name {name:?}")));
-        }
-        for d in digests {
-            if !valid_digest(d) {
-                return Err(StoreError::corrupt(format!("bad digest {d:?}")));
-            }
-        }
-        for dep in deps {
-            if !valid_name(dep) {
-                return Err(StoreError::corrupt(format!("bad dep root name {dep:?}")));
-            }
-        }
-        let seq = {
-            let mut state = self.lock();
-            state.pin_clock += 1;
-            state.pin_clock
-        };
-        let record = encode_root(seq, deps, digests);
-        self.write_record(&self.inner.root.join("roots").join(name), &record)?;
-        let mut state = self.lock();
-        apply_pin(&mut state, name, seq, deps, digests);
-        drop(state);
-        self.enforce_budget()
+        let mut batch = self.batch();
+        batch.pin_with_deps(name, digests, deps)?;
+        batch.commit()
     }
 
     /// Remove a named root; its blobs become collectable unless another
@@ -805,7 +707,9 @@ impl Cas {
     /// again (an explicit flag) overwrites the record — including
     /// `set_budget(0)`, which records "explicitly unlimited".
     pub fn set_budget(&self, bytes: u64) -> Result<()> {
-        self.write_record(&self.inner.root.join("config"), &encode_config(bytes))?;
+        let mut batch = self.batch();
+        batch.write_record(self.inner.root.join("config"), &encode_config(bytes));
+        batch.commit()?;
         self.lock().budget = bytes;
         self.enforce_budget()
     }
@@ -989,16 +893,17 @@ enum StagedKind {
     Record,
 }
 
-/// A write batch: objects are staged *in memory*, and
-/// [`commit`](CasBatch::commit) makes the whole group durable with one
-/// data fsync — a write-ahead pack under `tmp/` — followed by unsynced
-/// tmp+rename per object and a single fsync per touched directory.
-/// Crash semantics match the per-file protocol: the pack fsync happens
-/// before any rename, so a crash mid-commit leaves either nothing
-/// renamed (the undecodable pack is discarded at reopen) or a durable
-/// pack that reopen *replays*, rewriting every object the batch named
-/// — never torn content. Renames land in staging order, so a layer's
-/// pin is renamed before its record, same as the unbatched path.
+/// A write batch — the store's one write path. Objects, pins and
+/// records are staged *in memory*, and [`commit`](CasBatch::commit)
+/// makes the whole group durable: one object through a synced
+/// tmp+rename, several with one data fsync — a write-ahead pack under
+/// `tmp/` — followed by unsynced tmp+rename per object and a single
+/// fsync per touched directory. The pack fsync happens before any
+/// rename, so a crash mid-commit leaves either nothing renamed (the
+/// undecodable pack is discarded at reopen) or a durable pack that
+/// reopen *replays*, rewriting every object the batch named — never
+/// torn content. Renames land in staging order, so a layer's pin is
+/// renamed before its record.
 #[derive(Debug)]
 pub struct CasBatch {
     cas: Cas,
@@ -1079,7 +984,8 @@ impl CasBatch {
         self.staged_digests.insert(digest.to_string());
     }
 
-    /// Stage a non-content-addressed record file (layer records).
+    /// Stage a non-content-addressed record file (layer records, the
+    /// store config).
     pub(crate) fn write_record(&mut self, dest: PathBuf, data: &[u8]) {
         self.stage(dest, StagedData::Owned(data.to_vec()), StagedKind::Record);
     }
@@ -1150,30 +1056,40 @@ impl CasBatch {
     /// before the pack fsync leaves no renamed objects at all. On a
     /// reported error after the pack landed, the pack is *kept* for
     /// the same replay path to repair.
+    ///
+    /// A single object skips the pack: its staging file is written and
+    /// fsync'd, then renamed — the two halves of an atomic write, with
+    /// its fault points. A multi-object commit fires `store.write.err`,
+    /// `store.write.torn` and `store.fsync.err` at the pack and
+    /// `store.rename.err` at each rename. A batch with nothing staged
+    /// returns at once, and only one that staged a pin runs budget
+    /// enforcement: a bare put (a blob uploaded ahead of its manifest)
+    /// never evicts.
     pub fn commit(mut self) -> Result<()> {
         let files = std::mem::take(&mut self.staged);
+        if files.is_empty() {
+            return Ok(());
+        }
         let pins = std::mem::take(&mut self.pins);
         let mut dir_failures = 0u64;
         // Crash checkpoint 0: nothing staged, nothing durable.
         commit_crash_point()?;
 
-        // Write-ahead pack (skipped for 0–1 files, where a plain
+        // Write-ahead pack (skipped for one file, where a plain
         // synced write costs the same). The pack fsync — the one real
         // journal wait in the whole commit — runs on a helper thread
         // while this thread writes the object staging files, which are
         // invisible until renamed. No rename is issued before the
         // fsync completes, so the crash ordering is untouched.
         let pack = if files.len() > 1 {
-            let bytes = encode_pack(&self.cas.inner.root, &files)?;
             let path = staging_path(&self.cas.inner.root.join("tmp")).with_extension("pack");
-            let mut pack_file = fs::File::create(&path)?;
-            if let Err(e) = pack_file.write_all(&bytes) {
-                let _ = fs::remove_file(&path);
-                return Err(e.into());
-            }
+            let pack_file = write_pack(&path, &self.cas.inner.root, &files)?;
             let mut stage_err: Option<std::io::Error> = None;
             let sync_result = std::thread::scope(|scope| {
                 let sync = scope.spawn(|| {
+                    if zr_fault::fires(zr_fault::points::STORE_FSYNC_ERR) {
+                        return Err(std::io::Error::other("injected store fsync error"));
+                    }
                     pack_file.sync_data()?;
                     Ok::<bool, std::io::Error>(sync_parent_dir(&path))
                 });
@@ -1216,26 +1132,21 @@ impl CasBatch {
         // packless single-file case writes and syncs inline.
         for (i, f) in files.iter().enumerate() {
             let landed = match &pack {
-                Some(_) => fs::rename(&f.tmp, &f.dest),
-                None => fs::File::create(&f.tmp)
-                    .and_then(|mut file| {
-                        file.write_all(f.data.bytes())?;
-                        file.sync_all()
-                    })
-                    .and_then(|()| fs::rename(&f.tmp, &f.dest)),
+                Some(_) => rename_staged(&f.tmp, &f.dest),
+                None => write_synced(&f.tmp, f.data.bytes())
+                    .and_then(|()| rename_staged(&f.tmp, &f.dest)),
             };
             if let Err(e) = landed {
-                let _ = fs::remove_file(&f.tmp);
                 for rest in &files[i + 1..] {
                     let _ = fs::remove_file(&rest.tmp);
                 }
                 // The pack stays: earlier renames in this batch may
                 // hold unsynced data, and replay-on-reopen repairs
                 // exactly that.
-                return Err(e.into());
+                return Err(e);
             }
-            // Crash checkpoint 2: the first rename landed (unsynced),
-            // the rest are still staging files.
+            // Crash checkpoint 2: the first rename landed, the rest are
+            // still staging files.
             if i == 0 {
                 commit_crash_point()?;
             }
@@ -1289,6 +1200,9 @@ impl CasBatch {
             apply_pin(&mut state, name, *seq, deps, digests);
         }
         drop(state);
+        if pins.is_empty() {
+            return Ok(());
+        }
         self.cas.enforce_budget()
     }
 }
@@ -1303,20 +1217,51 @@ impl Drop for CasBatch {
     }
 }
 
-/// Encode a batch's write-ahead pack: every staged destination
-/// (store-relative) and its bytes, in staging order.
-fn encode_pack(root: &Path, files: &[StagedFile]) -> Result<Vec<u8>> {
-    let mut enc = Enc::new(PACK_MAGIC);
-    enc.u64(files.len() as u64);
-    for f in files {
-        let rel = f
-            .dest
-            .strip_prefix(root)
-            .map_err(|_| StoreError::corrupt("staged destination outside the store root"))?;
-        enc.str(&rel.to_string_lossy());
-        enc.bytes(f.data.bytes());
+/// Stream a multi-object commit's write-ahead pack to `path`: every
+/// staged destination (store-relative) and its bytes, in staging order,
+/// framed as one `zr-pack-v1` codec record but written straight from
+/// the staged payloads, never assembled in memory. The pack carries the
+/// commit's write-side fault points: `store.write.err` before the file
+/// exists, `store.write.torn` as a prefix left behind. A real write
+/// error removes the partial pack — no rename has happened yet, so it
+/// carries no obligations.
+fn write_pack(path: &Path, root: &Path, files: &[StagedFile]) -> Result<fs::File> {
+    if zr_fault::fires(zr_fault::points::STORE_WRITE_ERR) {
+        return Err(injected("injected store write error"));
     }
-    Ok(enc.finish())
+    let streamed = (|| -> Result<fs::File> {
+        let mut out = std::io::BufWriter::new(fs::File::create(path)?);
+        let mut head = Enc::new(PACK_MAGIC);
+        head.u64(files.len() as u64);
+        out.write_all(&head.finish())?;
+        for f in files {
+            let rel = f
+                .dest
+                .strip_prefix(root)
+                .map_err(|_| StoreError::corrupt("staged destination outside the store root"))?;
+            let data = f.data.bytes();
+            // `Enc::bytes` framing, with the payload written in place.
+            let mut head = Enc::raw();
+            head.str(&rel.to_string_lossy()).u64(data.len() as u64);
+            out.write_all(&head.finish())?;
+            out.write_all(data)?;
+        }
+        Ok(out
+            .into_inner()
+            .map_err(std::io::IntoInnerError::into_error)?)
+    })();
+    let file = match streamed {
+        Ok(file) => file,
+        Err(e) => {
+            let _ = fs::remove_file(path);
+            return Err(e);
+        }
+    };
+    if let Some(arg) = zr_fault::hit(zr_fault::points::STORE_WRITE_TORN) {
+        let _ = file.set_len(torn_keep(arg, file.metadata()?.len()));
+        return Err(injected("injected torn store write"));
+    }
+    Ok(file)
 }
 
 /// Replay a crashed writer's write-ahead pack: rewrite every object it

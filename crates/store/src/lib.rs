@@ -46,3 +46,7 @@ pub use oci::{
     ExportOpts, OciSummary,
 };
 pub use tar::{list_entries, TarEntryView, TarOpts};
+/// The shared payload type [`Cas::put_blob`] and [`CasBatch::put_blob`]
+/// stage without copying (re-exported so writers need no `zr-vfs`
+/// dependency of their own).
+pub use zr_vfs::Blob;

@@ -78,3 +78,30 @@ fn persisted_budget_is_enforced_at_open() {
     assert!(cas.roots().is_empty(), "over-budget root evicted at open");
     assert!(cas.stats().evicted_roots >= 1);
 }
+
+#[test]
+fn only_a_commit_that_pins_enforces_the_budget() {
+    // A blob uploaded ahead of the pin that will name it (a registry
+    // push) must not be evicted, nor evict anything, on arrival.
+    let dir = Scratch::new("budget-bare-put");
+    let cas = Cas::open(dir.path()).unwrap();
+    let old = cas.put(&[1u8; 4096]).unwrap();
+    cas.pin("old-root", std::slice::from_ref(&old)).unwrap();
+    cas.set_budget(6 * 1024).unwrap();
+
+    let fresh = cas.put(&[2u8; 4096]).unwrap();
+    assert_eq!(
+        cas.roots(),
+        vec!["old-root".to_string()],
+        "a put never evicts"
+    );
+    assert!(cas.stats().physical_bytes > cas.budget());
+    assert!(cas.contains(&old) && cas.contains(&fresh));
+
+    // The pin that names the new blob runs enforcement: the older root
+    // goes, the freshly pinned blob stays.
+    cas.pin("fresh-root", std::slice::from_ref(&fresh)).unwrap();
+    assert_eq!(cas.roots(), vec!["fresh-root".to_string()]);
+    assert!(!cas.contains(&old));
+    assert_eq!(cas.get(&fresh).unwrap(), vec![2u8; 4096]);
+}
