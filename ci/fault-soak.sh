@@ -4,6 +4,9 @@
 # store write errors and commit crashes, registry pull errors) against
 # build-many batches on the scheduler's resident worker pool, each
 # round persisting its layers into a fresh copy of a --cache-dir store.
+# Tight --cache-limit and --blob-limit budgets make every round evict
+# from both in-memory caches (the layer store and the registry's
+# pull-through blob cache) while the faults fire.
 #
 # The gate is liveness, not success: builds are *allowed* to fail under
 # injected faults, but the process must never hang (a timeout kills it)
@@ -78,7 +81,8 @@ registry.pull.err=p0.03"
     cp -R "$WORK/store" "$STORE"
     set +e
     ZR_FAULT="$PLAN" timeout "$TIMEOUT" \
-        "$ZR" build-many --jobs 4 --cache-stats --cache-dir "$STORE" $BATCH > "$OUT" 2>&1
+        "$ZR" build-many --jobs 4 --cache-stats --cache-dir "$STORE" \
+        --cache-limit 65536 --blob-limit 1 $BATCH > "$OUT" 2>&1
     rc=$?
     set -e
     # 0 (all ok) and 1 (some builds failed under faults) are both
@@ -95,7 +99,7 @@ registry.pull.err=p0.03"
         tail -40 "$OUT" >&2
         exit 1
     fi
-    grep -E '^\[(sched|fault|store)\]' "$OUT" || true
+    grep -E '^\[(sched|fault|store|cache|registry)\]' "$OUT" || true
     round=$((round + 1))
 done
 echo "fault-soak: $ROUNDS rounds survived (no hang, every build terminal)"

@@ -1,5 +1,5 @@
-//! Run every experiment in EXPERIMENTS.md and print a paper-vs-measured
-//! report. This is the artifact-evaluation entry point:
+//! Run every paper-vs-measured check (F1a, F1b, F2, … defined below)
+//! and print a report. This is the artifact-evaluation entry point:
 //!
 //! ```sh
 //! cargo run -p zr-bench --bin paper-report [-- --json[=PATH]]
@@ -890,7 +890,6 @@ fn main() {
         .expect("push base image");
 
     let wire_registry = Arc::new(ShardedRegistry::with_backend(
-        ShardedRegistry::DEFAULT_SHARDS,
         PullCost::default(),
         Arc::new(zr_registry::WireBackend::new(server.addr().to_string())),
     ));

@@ -1,8 +1,8 @@
 //! # zr-bench — shared helpers for the benchmark harness
 //!
-//! Each Criterion bench regenerates one of the paper's artifacts (see
-//! `EXPERIMENTS.md`). The helpers here keep workload construction out of
-//! the bench bodies.
+//! Each Criterion bench regenerates one of the paper's artifacts (the
+//! same ones `paper-report` checks). The helpers here keep workload
+//! construction out of the bench bodies.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

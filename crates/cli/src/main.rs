@@ -22,7 +22,7 @@
 //! BUILD FLAGS: [--force=MODE] [--target STAGE] [--no-cache]
 //!              [--cache-stats] [--jobs N] [--fail-fast] [--follow ID]
 //!              [--context DIR] [--cache-limit BYTES] [--cache-dir DIR]
-//!              [--store-limit BYTES] [--blob-limit BYTES] [--shards N]
+//!              [--store-limit BYTES] [--blob-limit BYTES]
 //!              [--registry ADDR] [--retry N] [--timeout SECS]
 //!              [--fault-plan PLAN]
 //! ```
@@ -90,7 +90,7 @@ fn usage() -> ExitCode {
     eprintln!(
         "BUILD FLAGS: [--force=MODE] [--target STAGE] [--no-cache] [--cache-stats] [--jobs N] \
          [--fail-fast] [--follow ID] [--context DIR] [--cache-limit BYTES] [--cache-dir DIR] \
-         [--store-limit BYTES] [--blob-limit BYTES] [--shards N] [--registry ADDR] [--retry N] \
+         [--store-limit BYTES] [--blob-limit BYTES] [--registry ADDR] [--retry N] \
          [--timeout SECS] [--fault-plan PLAN]"
     );
     eprintln!(
@@ -165,8 +165,7 @@ struct BuildFlags {
     /// `--force=`, `--no-cache`, `--target` (tag and context are per
     /// request).
     options: BuildOptions,
-    /// `--jobs`, `--fail-fast`, `--shards` and the cache and store
-    /// budgets.
+    /// `--jobs`, `--fail-fast` and the cache and store budgets.
     config: SchedulerConfig,
     cache_stats: bool,
     follow: Option<String>,
@@ -230,7 +229,6 @@ fn parse_build_flags(args: &[String]) -> Result<BuildFlags, ExitCode> {
                     "--registry" => f.registry = Some(value.clone()),
                     "--cache-dir" => f.config.cache_dir = Some(value.into()),
                     "--jobs" => f.config.jobs = number(value)?,
-                    "--shards" => f.config.registry_shards = number(value)?,
                     "--cache-limit" => f.config.cache_limit = number(value)?,
                     "--blob-limit" => f.config.blob_budget = number(value)?,
                     "--store-limit" => f.config.store_limit = Some(number(value)?),
@@ -262,10 +260,14 @@ fn cmd_build(args: &[String], export_to: Option<&str>) -> ExitCode {
         Ok(text) => text,
         Err(code) => return code,
     };
+    let context = match load_context(context_dir) {
+        Ok(context) => context,
+        Err(code) => return code,
+    };
     let tag = flags.tag.as_deref().unwrap_or("img");
     let options = BuildOptions {
         tag: tag.to_string(),
-        context: context_dir.map(load_context).unwrap_or_default(),
+        context,
         ..flags.options.clone()
     };
     let request = BuildRequest::with_options(tag, &dockerfile, options);
@@ -866,24 +868,34 @@ fn cmd_store(args: &[String]) -> ExitCode {
     }
 }
 
-/// Load a build context directory (flat: regular files only). Each
-/// file becomes one shared blob, hashed at most once however many
-/// builds and instructions reference it.
-fn load_context(dir: &str) -> Vec<zr_build::ContextFile> {
-    let mut context = Vec::new();
-    if let Ok(entries) = std::fs::read_dir(dir) {
-        for entry in entries.flatten() {
-            if entry.file_type().map(|t| t.is_file()).unwrap_or(false) {
-                if let Ok(data) = std::fs::read(entry.path()) {
-                    context.push(zr_build::context_file(
-                        &entry.file_name().to_string_lossy(),
-                        data,
-                    ));
-                }
+/// Load a build context directory (flat: regular files only; no
+/// directory means an empty context). Each file becomes one shared
+/// blob, hashed at most once however many builds and instructions
+/// reference it. A directory (or a file in it) that cannot be read
+/// fails before any build starts: an emptied context would otherwise
+/// build, or blame the first COPY's source.
+fn load_context(dir: Option<&str>) -> Result<Vec<zr_build::ContextFile>, ExitCode> {
+    let Some(dir) = dir else {
+        return Ok(Vec::new());
+    };
+    let read = || -> std::io::Result<Vec<zr_build::ContextFile>> {
+        let mut context = Vec::new();
+        for entry in std::fs::read_dir(dir)? {
+            let entry = entry?;
+            if entry.file_type()?.is_file() {
+                let data = std::fs::read(entry.path())?;
+                context.push(zr_build::context_file(
+                    &entry.file_name().to_string_lossy(),
+                    data,
+                ));
             }
         }
-    }
-    context
+        Ok(context)
+    };
+    read().map_err(|e| {
+        eprintln!("error: context directory {dir}: {e}");
+        ExitCode::FAILURE
+    })
 }
 
 /// `build-many`: schedule one build per Dockerfile argument across a
@@ -904,11 +916,10 @@ fn cmd_build_many(args: &[String]) -> ExitCode {
 
     // One shared context directory for the whole batch (COPY/ADD
     // sources), mirroring the single-build CONTEXT_DIR argument.
-    let context = flags
-        .context_dir
-        .as_deref()
-        .map(load_context)
-        .unwrap_or_default();
+    let context = match load_context(flags.context_dir.as_deref()) {
+        Ok(context) => context,
+        Err(code) => return code,
+    };
 
     let mut requests = Vec::new();
     for path in &flags.positional {
@@ -1028,14 +1039,10 @@ fn run_batch(
     if zr_fault::active() || fc.injected > 0 || fc.retries > 0 {
         eprintln!("[fault] {fc}");
     }
-    let registry = sched.registry();
-    let rstats = registry.stats();
+    let rstats = sched.registry().stats();
     eprintln!(
-        "[registry] {} pulls, {} fetches, {} blob hits across {} shards",
-        rstats.pulls,
-        rstats.fetches,
-        rstats.blob_hits,
-        registry.shard_count()
+        "[registry] {} pulls, {} fetches, {} blob hits",
+        rstats.pulls, rstats.fetches, rstats.blob_hits
     );
     if flags.cache_stats {
         let stats = sched.layers().stats();

@@ -1,10 +1,8 @@
-//! Tiny concurrency helpers shared by the sharded stores
-//! (`zr_image::ShardedRegistry`, `zr_image::LayerStore`) and the build
-//! scheduler — one definition of "which shard" and of the
-//! poison-tolerant locking policy, instead of a copy per call site.
+//! Tiny concurrency helpers shared by the in-memory caches
+//! (`zr_image::ShardedRegistry`, `zr_image::LayerStore`, one lock each)
+//! and the build scheduler — one definition of the poison-tolerant
+//! locking policy, instead of a copy per call site.
 
-use std::collections::hash_map::DefaultHasher;
-use std::hash::{Hash, Hasher};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Lock a mutex, treating poisoning as survivable: the protected data
@@ -15,31 +13,9 @@ pub fn lock_or_poisoned<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Deterministic shard index for a hashable key (`DefaultHasher` with
-/// default keys — stable within a build, which is all shard routing
-/// needs).
-pub fn shard_index<K: Hash + ?Sized>(key: &K, shards: usize) -> usize {
-    let mut h = DefaultHasher::new();
-    key.hash(&mut h);
-    (h.finish() as usize) % shards.max(1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn shard_index_is_stable_and_bounded() {
-        for shards in [1usize, 3, 8] {
-            for key in ["alpine:3.19", "debian:12", ""] {
-                let i = shard_index(key, shards);
-                assert!(i < shards);
-                assert_eq!(i, shard_index(key, shards), "same key, same shard");
-            }
-        }
-        // shards=0 is clamped, not a division by zero.
-        assert_eq!(shard_index("x", 0), 0);
-    }
 
     #[test]
     fn lock_or_poisoned_survives_poison() {

@@ -11,16 +11,18 @@
 //!
 //! The store is builder-side state (it lives next to [`ImageStore`] in
 //! `zr-build`'s `Builder`), but the *data model* belongs here with the
-//! other image storage types.
+//! other image storage types. One [`LayerStore`] is shared by every
+//! worker of a scheduler; a single lock guards its entries, blob
+//! ledger, LRU clock and counters, and is held for map and counter
+//! work only.
 //!
 //! [`ImageStore`]: crate::store::ImageStore
 
 use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use zeroroot_core::digest::FieldDigest;
-use zeroroot_core::sync::{lock_or_poisoned, shard_index};
+use zeroroot_core::sync::lock_or_poisoned;
 use zr_vfs::fs::Fs;
 use zr_vfs::FileKind;
 
@@ -159,7 +161,7 @@ fn blob_inventory(layer: &Layer) -> Vec<(String, u64)> {
 
 /// One stored layer plus the bookkeeping eviction and the dedup ledger
 /// need. The layer sits behind an `Arc` so lookups hand out O(1)
-/// clones — the shard lock is never held across an O(image) filesystem
+/// clones — the store lock is never held across an O(image) filesystem
 /// copy.
 #[derive(Debug, Clone)]
 struct Entry {
@@ -269,58 +271,156 @@ pub trait LayerPersistence: Send + Sync + std::fmt::Debug {
     fn keys(&self) -> Vec<CacheKey>;
 }
 
-const STORE_SHARDS: usize = 8;
-
-#[derive(Debug)]
-struct StoreInner {
-    /// Key space split across independently locked shards so concurrent
-    /// builders contend per key range, not on one store-wide lock.
-    shards: Vec<Mutex<BTreeMap<CacheKey, Entry>>>,
+/// Everything a [`LayerStore`]'s one lock guards. Only map, ledger and
+/// counter work runs under it: snapshots are inventoried before it is
+/// taken ([`Entry::new`]) and persistence I/O runs after it is released.
+#[derive(Debug, Default)]
+struct StoreState {
+    entries: BTreeMap<CacheKey, Entry>,
     /// The blob dedup ledger: content digest → (length, layers holding
     /// it). Bytes are charged when a blob's first layer arrives and
-    /// released when its last layer leaves. Lock ordering: a shard lock
-    /// may be held while taking the ledger, never the reverse.
-    ledger: Mutex<HashMap<String, (u64, u64)>>,
+    /// released when its last layer leaves.
+    ledger: HashMap<String, (u64, u64)>,
     /// Logical LRU clock (bumped on every hit and insert).
-    clock: AtomicU64,
+    clock: u64,
     /// Size budget in bytes; 0 means unlimited.
-    budget: AtomicU64,
+    budget: u64,
     /// Approximate deduplicated bytes stored.
-    bytes: AtomicU64,
+    bytes: u64,
     /// What full copies would cost (sum of per-layer logical bytes).
-    logical_bytes: AtomicU64,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
+    logical_bytes: u64,
+    hits: u64,
+    misses: u64,
+    evictions: u64,
     /// Lookups served by the persistence tier (subset of `hits`).
-    disk_hits: AtomicU64,
+    disk_hits: u64,
     /// Optional durable backing tier (write-through + miss
-    /// fallthrough). Taken briefly to clone the handle; never held
-    /// across I/O or another lock.
-    disk: Mutex<Option<Arc<dyn LayerPersistence>>>,
+    /// fallthrough). Cloned out of the lock before any I/O.
+    disk: Option<Arc<dyn LayerPersistence>>,
     /// Base images recorded by successful `FROM` pulls, keyed by the
     /// reference string. A degraded build whose pull fails after
     /// retries falls back here instead of dying — the image content is
     /// already local. Not budgeted: a handful of base references per
     /// fleet, and the underlying `Fs` is shared-by-`Arc` anyway.
-    bases: Mutex<HashMap<String, Image>>,
+    bases: HashMap<String, Image>,
 }
 
-impl Default for StoreInner {
-    fn default() -> StoreInner {
-        StoreInner {
-            shards: (0..STORE_SHARDS).map(|_| Mutex::default()).collect(),
-            ledger: Mutex::default(),
-            clock: AtomicU64::new(0),
-            budget: AtomicU64::new(0),
-            bytes: AtomicU64::new(0),
-            logical_bytes: AtomicU64::new(0),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            disk_hits: AtomicU64::new(0),
-            disk: Mutex::new(None),
-            bases: Mutex::default(),
+impl Entry {
+    /// An entry for `layer`, its footprint and blob inventory computed
+    /// here, before any lock: the blob digests this forces are memoized
+    /// in the blobs themselves, so snapshot chains only ever hash new
+    /// bytes. [`StoreState::store`] stamps the LRU position.
+    fn new(layer: Layer) -> Entry {
+        let overhead = layer_overhead(&layer);
+        let inventory = blob_inventory(&layer);
+        let logical_bytes = overhead + inventory.iter().map(|(_, len)| len).sum::<u64>();
+        Entry {
+            layer: Arc::new(layer),
+            overhead,
+            logical_bytes,
+            inventory,
+            last_hit: 0,
+        }
+    }
+}
+
+impl StoreState {
+    /// A memory hit: refresh the entry's LRU position, count the hit
+    /// when asked, and hand out the shared layer.
+    fn hit(&mut self, key: &CacheKey, count_stats: bool) -> Option<Arc<Layer>> {
+        let entry = self.entries.get_mut(key)?;
+        self.clock += 1;
+        entry.last_hit = self.clock;
+        if count_stats {
+            self.hits += 1;
+        }
+        Some(Arc::clone(&entry.layer))
+    }
+
+    /// Count a lookup the persistence tier answered (`found`) or that
+    /// missed everywhere.
+    fn count_fallthrough(&mut self, found: bool) {
+        if found {
+            self.hits += 1;
+            self.disk_hits += 1;
+        } else {
+            self.misses += 1;
+        }
+    }
+
+    /// Save an entry under its key (replacing an equal key — the
+    /// content address makes the old and new layer interchangeable) as
+    /// the most recently used, then evict down to the budget.
+    fn store(&mut self, mut entry: Entry) {
+        self.clock += 1;
+        entry.last_hit = self.clock;
+        self.charge(&entry);
+        if let Some(old) = self.entries.insert(entry.layer.id.clone(), entry) {
+            self.release(&old);
+        }
+        self.enforce_budget();
+    }
+
+    /// Charge an entry's footprint: overhead unconditionally, payload
+    /// blobs only on their first reference (the dedup win). A digest is
+    /// cloned only for a blob the ledger does not hold yet.
+    fn charge(&mut self, entry: &Entry) {
+        let mut new_bytes = entry.overhead;
+        for (sha, len) in &entry.inventory {
+            match self.ledger.get_mut(sha) {
+                Some(slot) => slot.1 += 1,
+                None => {
+                    self.ledger.insert(sha.clone(), (*len, 1));
+                    new_bytes += len;
+                }
+            }
+        }
+        self.bytes += new_bytes;
+        self.logical_bytes += entry.logical_bytes;
+    }
+
+    /// Release an entry already removed from the map: overhead
+    /// immediately, each payload blob when its last referencing layer
+    /// is gone.
+    fn release(&mut self, entry: &Entry) {
+        let mut freed = entry.overhead;
+        for (sha, len) in &entry.inventory {
+            if let Some(slot) = self.ledger.get_mut(sha) {
+                slot.1 -= 1;
+                if slot.1 == 0 {
+                    freed += len;
+                    self.ledger.remove(sha);
+                }
+            }
+        }
+        self.bytes -= freed;
+        self.logical_bytes -= entry.logical_bytes;
+    }
+
+    /// Evict least-recently-hit layers until the store fits its budget,
+    /// in one pass: entries are taken in LRU order until the
+    /// deduplicated byte counter fits. Evicting a layer only frees
+    /// payload bytes its blobs no longer share with a surviving layer,
+    /// so the counter is re-read after each removal instead of
+    /// predicting sizes.
+    fn enforce_budget(&mut self) {
+        if self.budget == 0 || self.bytes <= self.budget {
+            return;
+        }
+        let mut lru: Vec<(u64, CacheKey)> = self
+            .entries
+            .iter()
+            .map(|(key, entry)| (entry.last_hit, key.clone()))
+            .collect();
+        lru.sort_unstable_by_key(|(last_hit, _)| *last_hit);
+        for (_, key) in lru {
+            if self.bytes <= self.budget {
+                break;
+            }
+            if let Some(old) = self.entries.remove(&key) {
+                self.release(&old);
+                self.evictions += 1;
+            }
         }
     }
 }
@@ -328,10 +428,11 @@ impl Default for StoreInner {
 /// Content-addressed storage for layers, keyed by [`CacheKey`].
 ///
 /// The store is a *shared handle*: cloning shares the underlying
-/// storage (`Arc`), every method takes `&self`, and the key space is
-/// sharded across independent locks — concurrent builds of similar
-/// Dockerfiles get cross-build cache hits instead of duplicate
-/// snapshots, without serializing on one store-wide mutex.
+/// storage (`Arc`), every method takes `&self`, and one lock guards the
+/// whole cache state — concurrent builds of similar Dockerfiles get
+/// cross-build cache hits instead of duplicate snapshots. The lock is
+/// held for map, ledger and counter work only, never across a snapshot
+/// inventory or persistence I/O.
 ///
 /// An optional size budget caps growth: when an insert pushes the
 /// store past its budget, the least-recently-hit layers are evicted
@@ -340,7 +441,7 @@ impl Default for StoreInner {
 /// never corrupt a build.
 #[derive(Debug, Clone, Default)]
 pub struct LayerStore {
-    inner: Arc<StoreInner>,
+    state: Arc<Mutex<StoreState>>,
 }
 
 impl LayerStore {
@@ -357,80 +458,34 @@ impl LayerStore {
         store
     }
 
+    fn lock(&self) -> MutexGuard<'_, StoreState> {
+        lock_or_poisoned(&self.state)
+    }
+
     /// Change the size budget (0 = unlimited) and enforce it.
     pub fn set_budget(&self, bytes: u64) {
-        self.inner.budget.store(bytes, Ordering::Relaxed);
-        self.enforce_budget();
+        let mut state = self.lock();
+        state.budget = bytes;
+        state.enforce_budget();
     }
 
     /// The configured size budget (0 = unlimited).
     pub fn budget(&self) -> u64 {
-        self.inner.budget.load(Ordering::Relaxed)
+        self.lock().budget
     }
 
     /// Record a successfully pulled base image under its reference so a
     /// later pull of the same reference that fails after retries can
     /// degrade to local content instead of failing the build.
     pub fn record_base(&self, reference: &str, image: &Image) {
-        lock_or_poisoned(&self.inner.bases).insert(reference.to_string(), image.clone());
+        let image = image.clone();
+        self.lock().bases.insert(reference.to_string(), image);
     }
 
     /// The locally cached base image for `reference`, if a pull of it
     /// ever succeeded against this store.
     pub fn cached_base(&self, reference: &str) -> Option<Image> {
-        lock_or_poisoned(&self.inner.bases).get(reference).cloned()
-    }
-
-    fn shard(&self, key: &CacheKey) -> &Mutex<BTreeMap<CacheKey, Entry>> {
-        &self.inner.shards[shard_index(key, self.inner.shards.len())]
-    }
-
-    fn lock(shard: &Mutex<BTreeMap<CacheKey, Entry>>) -> MutexGuard<'_, BTreeMap<CacheKey, Entry>> {
-        lock_or_poisoned(shard)
-    }
-
-    fn tick(&self) -> u64 {
-        self.inner.clock.fetch_add(1, Ordering::Relaxed)
-    }
-
-    /// Charge an entry's footprint: overhead unconditionally, payload
-    /// blobs only on their first reference (the dedup win).
-    fn charge(&self, entry: &Entry) {
-        let mut ledger = lock_or_poisoned(&self.inner.ledger);
-        let mut new_bytes = entry.overhead;
-        for (sha, len) in &entry.inventory {
-            let slot = ledger.entry(sha.clone()).or_insert((*len, 0));
-            if slot.1 == 0 {
-                new_bytes += *len;
-            }
-            slot.1 += 1;
-        }
-        self.inner.bytes.fetch_add(new_bytes, Ordering::Relaxed);
-        self.inner
-            .logical_bytes
-            .fetch_add(entry.logical_bytes, Ordering::Relaxed);
-    }
-
-    /// Release a removed entry: overhead immediately, each payload blob
-    /// when its last referencing layer is gone. The caller must already
-    /// have removed the entry from its shard (it is no longer visible,
-    /// so it can never be released twice).
-    fn release(&self, entry: &Entry) {
-        let mut ledger = lock_or_poisoned(&self.inner.ledger);
-        let mut freed = entry.overhead;
-        for (sha, len) in &entry.inventory {
-            if let Some(slot) = ledger.get_mut(sha) {
-                slot.1 -= 1;
-                if slot.1 == 0 {
-                    freed += *len;
-                    ledger.remove(sha);
-                }
-            }
-        }
-        self.inner.bytes.fetch_sub(freed, Ordering::Relaxed);
-        self.inner
-            .logical_bytes
-            .fetch_sub(entry.logical_bytes, Ordering::Relaxed);
+        self.lock().bases.get(reference).cloned()
     }
 
     /// Attach a durable backing tier. Every subsequent insert is
@@ -438,12 +493,12 @@ impl LayerStore {
     /// so two processes attached to the same store directory share a
     /// warm cache across their lifetimes.
     pub fn set_persistence(&self, disk: Arc<dyn LayerPersistence>) {
-        *lock_or_poisoned(&self.inner.disk) = Some(disk);
+        self.lock().disk = Some(disk);
     }
 
     /// The attached persistence tier, if any.
     pub fn persistence(&self) -> Option<Arc<dyn LayerPersistence>> {
-        lock_or_poisoned(&self.inner.disk).clone()
+        self.lock().disk.clone()
     }
 
     /// Save a layer under its own key (replaces an equal key — the
@@ -451,101 +506,61 @@ impl LayerStore {
     /// then evict down to the budget if necessary. With a persistence
     /// tier attached the layer is also written through to disk.
     pub fn insert(&self, layer: Layer) {
-        let layer = self.insert_memory(layer);
-        if let Some(disk) = self.persistence() {
-            // Outside every store lock: persistence does real I/O. The
-            // parent rides along (when still in memory) so the disk
-            // tier can encode a delta instead of a full record.
-            let parent = layer.parent.as_ref().and_then(|p| self.peek_memory(p));
-            disk.persist_with_parent(&layer, parent.as_deref());
-        }
-    }
-
-    /// The in-memory entry for `key`, untouched: no stats, no LRU
-    /// refresh, no disk fallthrough (a disk load here would recurse
-    /// into the tier this lookup is feeding).
-    fn peek_memory(&self, key: &CacheKey) -> Option<Arc<Layer>> {
-        Self::lock(self.shard(key))
-            .get(key)
-            .map(|entry| Arc::clone(&entry.layer))
-    }
-
-    /// The in-memory half of [`insert`](Self::insert); returns the
-    /// shared handle so disk-loaded layers skip the write-through.
-    fn insert_memory(&self, layer: Layer) -> Arc<Layer> {
-        // Footprint and inventory are computed before any lock; the
-        // blob digests this forces are memoized in the blobs
-        // themselves, so snapshot chains only ever hash new bytes.
-        let overhead = layer_overhead(&layer);
-        let inventory = blob_inventory(&layer);
-        let logical_bytes = overhead + inventory.iter().map(|(_, len)| len).sum::<u64>();
-        let entry = Entry {
-            overhead,
-            logical_bytes,
-            inventory,
-            last_hit: self.tick(),
-            layer: Arc::new(layer),
-        };
-        let key = entry.layer.id.clone();
+        let entry = Entry::new(layer);
         let layer = Arc::clone(&entry.layer);
-        {
-            // The byte counters move while the shard lock is held: an
-            // entry is never visible to an evictor (which must take
-            // this same lock to remove it) before its bytes are
-            // counted, so the counters cannot underflow.
-            let mut shard = Self::lock(self.shard(&key));
-            self.charge(&entry);
-            if let Some(old) = shard.insert(key, entry) {
-                self.release(&old);
-            }
-        }
-        self.enforce_budget();
-        layer
+        let (disk, parent) = {
+            let mut state = self.lock();
+            state.store(entry);
+            let Some(disk) = state.disk.clone() else {
+                return;
+            };
+            // The parent rides along (when still in memory) so the
+            // disk tier can encode a delta instead of a full record.
+            let parent = layer
+                .parent
+                .as_ref()
+                .and_then(|p| state.entries.get(p))
+                .map(|entry| Arc::clone(&entry.layer));
+            (disk, parent)
+        };
+        // Outside the lock: persistence does real I/O.
+        disk.persist_with_parent(&layer, parent.as_deref());
     }
 
-    /// Shared lookup core: LRU refresh on a hit, optional stat
-    /// counting, and a caller-chosen projection of the entry. A memory
-    /// miss falls through to the persistence tier (outside the shard
-    /// lock — disk loads do real I/O); a disk hit is promoted into
-    /// memory and counts as a hit.
-    fn lookup<T>(
-        &self,
-        key: &CacheKey,
-        count_stats: bool,
-        project: impl FnOnce(&Arc<Layer>) -> T,
-    ) -> Option<T> {
-        {
-            let mut shard = Self::lock(self.shard(key));
-            if let Some(entry) = shard.get_mut(key) {
-                entry.last_hit = self.inner.clock.fetch_add(1, Ordering::Relaxed);
-                if count_stats {
-                    self.inner.hits.fetch_add(1, Ordering::Relaxed);
-                }
-                return Some(project(&entry.layer));
+    /// Shared core of [`get`](Self::get) and
+    /// [`materialize`](Self::materialize): LRU refresh on a hit and
+    /// optional stat counting. A memory miss falls through to the
+    /// persistence tier (outside the lock — disk loads do real I/O); a
+    /// disk hit is promoted into memory and counts as a hit.
+    fn lookup(&self, key: &CacheKey, count_stats: bool) -> Option<Arc<Layer>> {
+        let disk = {
+            let mut state = self.lock();
+            if let Some(layer) = state.hit(key, count_stats) {
+                return Some(layer);
             }
-        }
-        if let Some(layer) = self.persistence().and_then(|disk| disk.load(key)) {
-            // Promote without re-persisting (the disk already has it).
-            // A concurrent promotion of the same key is idempotent:
-            // content-addressed layers replace interchangeably.
-            let layer = self.insert_memory(layer);
-            if count_stats {
-                self.inner.hits.fetch_add(1, Ordering::Relaxed);
-                self.inner.disk_hits.fetch_add(1, Ordering::Relaxed);
-            }
-            return Some(project(&layer));
-        }
+            state.disk.clone()
+        };
+        let loaded = disk.and_then(|disk| disk.load(key));
+        // Promote without re-persisting (the disk already has it). A
+        // concurrent promotion of the same key is idempotent:
+        // content-addressed layers replace interchangeably.
+        let entry = loaded.map(Entry::new);
+        let layer = entry.as_ref().map(|entry| Arc::clone(&entry.layer));
+        let mut state = self.lock();
         if count_stats {
-            self.inner.misses.fetch_add(1, Ordering::Relaxed);
+            state.count_fallthrough(entry.is_some());
         }
-        None
+        if let Some(entry) = entry {
+            state.store(entry);
+        }
+        layer
     }
 
     /// Look a layer up by key; a hit refreshes the layer's LRU
     /// position. The returned handle is an O(1) `Arc` clone — no
-    /// filesystem copy happens, under the shard lock or after it.
+    /// filesystem copy happens, under the store lock or after it.
     pub fn get(&self, key: &CacheKey) -> Option<Arc<Layer>> {
-        self.lookup(key, true, Arc::clone)
+        self.lookup(key, true)
     }
 
     /// Clone only the replayable *state* of a cached layer — no
@@ -557,21 +572,19 @@ impl LayerStore {
     /// Counts as a hit (LRU refresh included), exactly like
     /// [`LayerStore::get`].
     pub fn peek_state(&self, key: &CacheKey) -> Option<LayerState> {
-        {
-            let mut shard = Self::lock(self.shard(key));
-            if let Some(entry) = shard.get_mut(key) {
-                entry.last_hit = self.inner.clock.fetch_add(1, Ordering::Relaxed);
-                self.inner.hits.fetch_add(1, Ordering::Relaxed);
-                return Some(entry.layer.state.clone());
+        let disk = {
+            let mut state = self.lock();
+            match state.hit(key, true) {
+                Some(layer) => {
+                    drop(state);
+                    return Some(layer.state.clone());
+                }
+                None => state.disk.clone(),
             }
-        }
-        if let Some(state) = self.persistence().and_then(|disk| disk.load_state(key)) {
-            self.inner.hits.fetch_add(1, Ordering::Relaxed);
-            self.inner.disk_hits.fetch_add(1, Ordering::Relaxed);
-            return Some(state);
-        }
-        self.inner.misses.fetch_add(1, Ordering::Relaxed);
-        None
+        };
+        let found = disk.and_then(|disk| disk.load_state(key));
+        self.lock().count_fallthrough(found.is_some());
+        found
     }
 
     /// The second half of a peek-then-materialize sequence: fetch the
@@ -579,16 +592,20 @@ impl LayerStore {
     /// counted, refreshing its LRU position but *not* the hit/miss
     /// counters — one logical lookup stays one statistic.
     pub fn materialize(&self, key: &CacheKey) -> Option<Arc<Layer>> {
-        self.lookup(key, false, Arc::clone)
+        self.lookup(key, false)
     }
 
     /// Is the key cached, in memory or on the persistence tier? (No
     /// stats, no LRU refresh, no promotion.)
     pub fn contains(&self, key: &CacheKey) -> bool {
-        if Self::lock(self.shard(key)).contains_key(key) {
-            return true;
-        }
-        self.persistence().is_some_and(|disk| disk.has(key))
+        let disk = {
+            let state = self.lock();
+            if state.entries.contains_key(key) {
+                return true;
+            }
+            state.disk.clone()
+        };
+        disk.is_some_and(|disk| disk.has(key))
     }
 
     /// Drop every in-memory layer (what a `build --no-cache` followed
@@ -596,20 +613,19 @@ impl LayerStore {
     /// the persistence tier is untouched — durable layers are removed
     /// by the store's own garbage collection, never by a cache prune.
     pub fn clear(&self) {
-        for shard in &self.inner.shards {
-            // Release per entry under the shard lock (not a blanket
-            // store(0)): a concurrent insert into another shard must
-            // not have its bytes wiped out from under it.
-            let mut shard = Self::lock(shard);
-            for (_, entry) in std::mem::take(&mut *shard) {
-                self.release(&entry);
-            }
-        }
+        let mut state = self.lock();
+        let entries = std::mem::take(&mut state.entries);
+        state.ledger.clear();
+        state.bytes = 0;
+        state.logical_bytes = 0;
+        drop(state);
+        // The layers themselves are freed after the lock is released.
+        drop(entries);
     }
 
     /// Number of cached layers.
     pub fn len(&self) -> usize {
-        self.inner.shards.iter().map(|s| Self::lock(s).len()).sum()
+        self.lock().entries.len()
     }
 
     /// Is the store empty?
@@ -620,71 +636,27 @@ impl LayerStore {
     /// Approximate deduplicated bytes stored (shared payload blobs
     /// charged once across all layers).
     pub fn bytes(&self) -> u64 {
-        self.inner.bytes.load(Ordering::Relaxed)
+        self.lock().bytes
     }
 
     /// All keys, sorted (deterministic iteration for reports).
     pub fn keys(&self) -> Vec<CacheKey> {
-        let mut keys: Vec<CacheKey> = self
-            .inner
-            .shards
-            .iter()
-            .flat_map(|s| Self::lock(s).keys().cloned().collect::<Vec<_>>())
-            .collect();
-        keys.sort();
-        keys
+        self.lock().entries.keys().cloned().collect()
     }
 
     /// Aggregate usage counters.
     pub fn stats(&self) -> StoreStats {
+        let state = self.lock();
         StoreStats {
-            layers: self.len(),
-            bytes: self.bytes(),
-            logical_bytes: self.inner.logical_bytes.load(Ordering::Relaxed),
-            blobs: lock_or_poisoned(&self.inner.ledger).len() as u64,
-            budget: self.budget(),
-            hits: self.inner.hits.load(Ordering::Relaxed),
-            misses: self.inner.misses.load(Ordering::Relaxed),
-            evictions: self.inner.evictions.load(Ordering::Relaxed),
-            disk_hits: self.inner.disk_hits.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Evict least-recently-hit layers until the store fits its budget.
-    /// One scan gathers every entry's (last-hit, key); victims are then
-    /// taken in LRU order until the deduplicated byte counter fits —
-    /// evicting a layer only frees payload bytes its blobs no longer
-    /// share with a surviving layer, so the loop re-reads the counter
-    /// after each removal instead of predicting sizes. Locks one shard
-    /// at a time (never nested with another shard); the outer loop
-    /// re-checks because concurrent inserts can land mid-pass.
-    fn enforce_budget(&self) {
-        let budget = self.budget();
-        if budget == 0 {
-            return;
-        }
-        while self.bytes() > budget {
-            let mut candidates: Vec<(u64, CacheKey)> = Vec::new();
-            for shard in &self.inner.shards {
-                for (key, entry) in Self::lock(shard).iter() {
-                    candidates.push((entry.last_hit, key.clone()));
-                }
-            }
-            candidates.sort_unstable_by_key(|(last_hit, _)| *last_hit);
-            let mut removed_any = false;
-            for (_, key) in candidates {
-                if self.bytes() <= budget {
-                    break;
-                }
-                if let Some(old) = Self::lock(self.shard(&key)).remove(&key) {
-                    self.release(&old);
-                    self.inner.evictions.fetch_add(1, Ordering::Relaxed);
-                    removed_any = true;
-                }
-            }
-            if !removed_any {
-                break; // nothing removable (empty, or raced away)
-            }
+            layers: state.entries.len(),
+            bytes: state.bytes,
+            logical_bytes: state.logical_bytes,
+            blobs: state.ledger.len() as u64,
+            budget: state.budget,
+            hits: state.hits,
+            misses: state.misses,
+            evictions: state.evictions,
+            disk_hits: state.disk_hits,
         }
     }
 }
@@ -693,6 +665,7 @@ impl LayerStore {
 mod tests {
     use super::*;
     use crate::image::Distro;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     fn meta() -> ImageMeta {
         ImageMeta {

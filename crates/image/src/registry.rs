@@ -4,13 +4,18 @@
 //! and package-manager binaries (as real inodes with permission bits —
 //! their behaviour is registered separately from `zr-pkg`), and the libc
 //! identity used by the bind-mount compatibility experiment.
+//!
+//! [`ShardedRegistry`] puts a pull-through blob cache in front of a
+//! [`RegistryBackend`] (this catalog, or a live endpoint). One lock
+//! guards the cache and its counters; fetches run under per-reference
+//! fetch locks, so a fetch never holds the cache lock and pulls of
+//! different references never wait on each other.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
-use zeroroot_core::sync::{lock_or_poisoned, shard_index};
+use zeroroot_core::sync::lock_or_poisoned;
 
 use crate::image::{BinKind, BinarySpec, Distro, Image, ImageMeta, ImageRef, Linkage};
 use zr_syscalls::Errno;
@@ -279,7 +284,7 @@ fn materialize(reference: &ImageRef) -> Result<Image, Errno> {
 /// The default [`CatalogBackend`] fabricates the paper's catalog
 /// in-process (the simulator); `zr-registry` provides a backend that
 /// resolves references against a live OCI distribution endpoint over
-/// HTTP. Everything above the backend — sharding, the blob cache, the
+/// HTTP. Everything above the backend — the blob cache, the
 /// per-reference fetch locks, the modeled [`PullCost`] — is identical
 /// either way, so `FROM` works the same against both.
 pub trait RegistryBackend: Send + Sync + std::fmt::Debug {
@@ -331,8 +336,6 @@ pub struct RegistryStats {
     pub blob_budget: u64,
     /// Cached blobs evicted to respect the budget.
     pub evictions: u64,
-    /// Pulls per shard (length = shard count).
-    pub per_shard: Vec<u64>,
 }
 
 /// One cached base image plus the LRU bookkeeping eviction needs.
@@ -340,28 +343,190 @@ pub struct RegistryStats {
 struct CachedBlob {
     image: Image,
     bytes: u64,
-    /// Registry-clock value of the last hit (or the fetch that seeded
-    /// it) — per-shard maps, globally ordered clock.
+    /// Cache-clock value of the last hit (or the fetch that seeded it).
     last_hit: u64,
 }
 
-/// One shard: its slice of the blob cache plus usage counters.
+/// Everything the registry's cache lock guards: the pull-through blob
+/// cache, its LRU clock, byte counter and budget, and the usage
+/// counters. Only map and counter work runs under it — fetches and the
+/// modeled [`PullCost`] sleeps never do.
 #[derive(Debug, Default)]
-struct Shard {
-    blobs: Mutex<HashMap<String, CachedBlob>>,
-    /// Per-reference fetch locks: concurrent pulls of the *same*
-    /// missing reference serialize on one of these (the second waits,
-    /// then hits the cache) while the blob map stays free for other
-    /// references — the fetch sleep is never paid under `blobs`.
-    fetching: Mutex<HashMap<String, Arc<Mutex<()>>>>,
-    pulls: AtomicU64,
-    fetches: AtomicU64,
-    blob_hits: AtomicU64,
+struct BlobCache {
+    blobs: HashMap<String, CachedBlob>,
+    /// LRU clock (bumped on every blob hit and fetch).
+    clock: u64,
+    /// Byte budget; 0 means unlimited.
+    budget: u64,
+    /// Approximate bytes cached.
+    bytes: u64,
+    pulls: u64,
+    fetches: u64,
+    blob_hits: u64,
+    evictions: u64,
 }
 
-impl Shard {
-    fn lock(&self) -> MutexGuard<'_, HashMap<String, CachedBlob>> {
-        lock_or_poisoned(&self.blobs)
+impl BlobCache {
+    /// A cache hit: refresh the blob's LRU position, count it, and hand
+    /// out a copy of the image.
+    fn hit(&mut self, key: &str) -> Option<Image> {
+        let blob = self.blobs.get_mut(key)?;
+        self.clock += 1;
+        blob.last_hit = self.clock;
+        self.blob_hits += 1;
+        Some(blob.image.clone())
+    }
+
+    /// Cache a freshly fetched image of `bytes` footprint as the most
+    /// recently used blob, then evict down to the budget.
+    fn insert(&mut self, key: String, image: Image, bytes: u64) {
+        self.clock += 1;
+        let blob = CachedBlob {
+            image,
+            bytes,
+            last_hit: self.clock,
+        };
+        self.bytes += bytes;
+        if let Some(old) = self.blobs.insert(key, blob) {
+            self.bytes -= old.bytes;
+        }
+        self.enforce_budget();
+    }
+
+    /// Evict least-recently-hit blobs until the cache fits its budget,
+    /// in one pass in LRU order.
+    fn enforce_budget(&mut self) {
+        if self.budget == 0 || self.bytes <= self.budget {
+            return;
+        }
+        let mut lru: Vec<(u64, String)> = self
+            .blobs
+            .iter()
+            .map(|(key, blob)| (blob.last_hit, key.clone()))
+            .collect();
+        lru.sort_unstable_by_key(|(last_hit, _)| *last_hit);
+        for (_, key) in lru {
+            if self.bytes <= self.budget {
+                break;
+            }
+            if let Some(gone) = self.blobs.remove(&key) {
+                self.bytes -= gone.bytes;
+                self.evictions += 1;
+            }
+        }
+    }
+}
+
+/// The registry simulator's pull-through cache, shared by concurrent
+/// builders.
+///
+/// One lock guards the whole blob cache and its counters; it is held
+/// for a map lookup or insert and a counter bump, so a cached pull
+/// takes it once and clones the blob (an O(1) filesystem handle).
+/// Fetches run under *per-reference* fetch locks instead: builders
+/// pulling the *same* missing base materialize it once and share the
+/// blob, while pulls of *different* references never wait on each
+/// other's fetch. `pull` takes `&self` — one registry handle (behind
+/// an `Arc`) serves every worker in a build scheduler.
+///
+/// An optional byte budget caps the blob cache: when the byte counter
+/// exceeds it, the least-recently-hit blobs are evicted. Evicting only
+/// costs a refetch on the next pull of that reference; it can never
+/// corrupt a build.
+#[derive(Debug)]
+pub struct ShardedRegistry {
+    cache: Mutex<BlobCache>,
+    /// Per-reference fetch locks: concurrent pulls of the *same*
+    /// missing reference serialize on one of these (the second waits,
+    /// then hits the cache) while the cache stays free for other
+    /// references — the fetch sleep is never paid under `cache`.
+    fetching: Mutex<HashMap<String, Arc<Mutex<()>>>>,
+    cost: PullCost,
+    /// Where cache misses are fetched from (simulator or live wire).
+    backend: Arc<dyn RegistryBackend>,
+}
+
+/// The registry's plain name. `ShardedRegistry` is the historical one,
+/// from when the cache was split across separately locked shards.
+pub type Registry = ShardedRegistry;
+
+impl Default for ShardedRegistry {
+    fn default() -> ShardedRegistry {
+        ShardedRegistry::new()
+    }
+}
+
+impl ShardedRegistry {
+    /// The shard count callers used to pass to
+    /// [`with_cost`](Self::with_cost); the registry is no longer
+    /// sharded and ignores it.
+    pub const DEFAULT_SHARDS: usize = 8;
+
+    /// A fresh registry over the built-in catalog with no modeled
+    /// latency.
+    pub fn new() -> ShardedRegistry {
+        ShardedRegistry::with_backend(PullCost::default(), Arc::new(CatalogBackend))
+    }
+
+    /// A registry with a modeled [`PullCost`], fetching misses from the
+    /// built-in catalog. `shards` is ignored: the cache is one locked
+    /// map (the argument stays for existing callers).
+    pub fn with_cost(shards: usize, cost: PullCost) -> ShardedRegistry {
+        let _ = shards;
+        ShardedRegistry::with_backend(cost, Arc::new(CatalogBackend))
+    }
+
+    /// A registry whose cache misses are fetched from `backend` — the
+    /// seam `zr-registry` plugs a live OCI distribution endpoint into.
+    /// The pull-through blob cache and the per-reference fetch locks
+    /// sit *above* the backend and apply to both.
+    pub fn with_backend(cost: PullCost, backend: Arc<dyn RegistryBackend>) -> ShardedRegistry {
+        ShardedRegistry {
+            cache: Mutex::default(),
+            fetching: Mutex::default(),
+            cost,
+            backend,
+        }
+    }
+
+    fn cache(&self) -> MutexGuard<'_, BlobCache> {
+        lock_or_poisoned(&self.cache)
+    }
+
+    /// Change the blob-cache byte budget (0 = unlimited) and enforce
+    /// it immediately.
+    pub fn set_blob_budget(&self, bytes: u64) {
+        let mut cache = self.cache();
+        cache.budget = bytes;
+        cache.enforce_budget();
+    }
+
+    /// The configured blob-cache byte budget (0 = unlimited).
+    pub fn blob_budget(&self) -> u64 {
+        self.cache().budget
+    }
+
+    /// Approximate bytes currently held by the blob cache.
+    pub fn blob_bytes(&self) -> u64 {
+        self.cache().bytes
+    }
+
+    /// Approximate cache footprint of one image: payload bytes (each
+    /// blob once — snapshots hand out shared handles) plus a fixed
+    /// per-inode overhead.
+    fn image_bytes(image: &Image) -> u64 {
+        image.fs.content_bytes() + image.fs.inode_count() as u64 * crate::INODE_OVERHEAD
+    }
+
+    /// Known references.
+    pub fn catalog() -> Vec<&'static str> {
+        vec![
+            "alpine:3.19",
+            "centos:7",
+            "debian:12",
+            "fedora:40",
+            "scratch:latest",
+        ]
     }
 
     /// The fetch lock for one reference (created on first use).
@@ -376,175 +541,6 @@ impl Shard {
     fn release_fetch_lock(&self, key: &str) {
         lock_or_poisoned(&self.fetching).remove(key);
     }
-}
-
-/// The registry simulator, sharded for concurrent builders.
-///
-/// The image reference hashes to one of N shards; each shard guards its
-/// slice of the pull-through blob cache with its own lock, so builders
-/// pulling *different* bases never serialize on each other, and builders
-/// pulling the *same* base materialize it once and share the blob.
-/// `pull` takes `&self` — one registry handle (behind an `Arc`) serves
-/// every worker in a build scheduler.
-///
-/// An optional byte budget caps the blob cache: shards keep their own
-/// LRU ordering (stamped from one registry-wide clock), and when the
-/// global byte counter exceeds the budget the least-recently-hit blob
-/// across all shards is evicted — one shard lock at a time, never
-/// nested. Evicting only costs a refetch on the next pull of that
-/// reference; it can never corrupt a build.
-#[derive(Debug)]
-pub struct ShardedRegistry {
-    shards: Vec<Shard>,
-    cost: PullCost,
-    /// Where cache misses are fetched from (simulator or live wire).
-    backend: Arc<dyn RegistryBackend>,
-    /// Registry-wide LRU clock (bumped on every blob hit and fetch).
-    clock: AtomicU64,
-    /// Blob-cache byte budget; 0 means unlimited.
-    blob_budget: AtomicU64,
-    /// Approximate bytes cached across all shards.
-    blob_bytes: AtomicU64,
-    evictions: AtomicU64,
-}
-
-/// The historical name: early revisions had a single-catalog registry
-/// with a `&mut self` pull; the sharded implementation is a drop-in
-/// superset, so the old name simply points at it.
-pub type Registry = ShardedRegistry;
-
-impl Default for ShardedRegistry {
-    fn default() -> ShardedRegistry {
-        ShardedRegistry::new()
-    }
-}
-
-impl ShardedRegistry {
-    /// Default shard count — enough that the paper's five bases rarely
-    /// collide, small enough to stay cheap to scan.
-    pub const DEFAULT_SHARDS: usize = 8;
-
-    /// A fresh registry with [`Self::DEFAULT_SHARDS`] shards and no
-    /// modeled latency.
-    pub fn new() -> ShardedRegistry {
-        ShardedRegistry::with_shards(Self::DEFAULT_SHARDS)
-    }
-
-    /// A registry with `shards` shards (clamped to at least 1).
-    pub fn with_shards(shards: usize) -> ShardedRegistry {
-        ShardedRegistry::with_cost(shards, PullCost::default())
-    }
-
-    /// A registry with `shards` shards and a modeled [`PullCost`],
-    /// fetching misses from the built-in catalog.
-    pub fn with_cost(shards: usize, cost: PullCost) -> ShardedRegistry {
-        ShardedRegistry::with_backend(shards, cost, Arc::new(CatalogBackend))
-    }
-
-    /// A registry whose cache misses are fetched from `backend` — the
-    /// seam `zr-registry` plugs a live OCI distribution endpoint into.
-    /// The pull-through blob cache, sharding, and per-reference fetch
-    /// locks sit *above* the backend and apply to both.
-    pub fn with_backend(
-        shards: usize,
-        cost: PullCost,
-        backend: Arc<dyn RegistryBackend>,
-    ) -> ShardedRegistry {
-        let shards = shards.max(1);
-        ShardedRegistry {
-            shards: (0..shards).map(|_| Shard::default()).collect(),
-            cost,
-            backend,
-            clock: AtomicU64::new(0),
-            blob_budget: AtomicU64::new(0),
-            blob_bytes: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-        }
-    }
-
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Change the blob-cache byte budget (0 = unlimited) and enforce
-    /// it immediately.
-    pub fn set_blob_budget(&self, bytes: u64) {
-        self.blob_budget.store(bytes, Ordering::Relaxed);
-        self.enforce_blob_budget();
-    }
-
-    /// The configured blob-cache byte budget (0 = unlimited).
-    pub fn blob_budget(&self) -> u64 {
-        self.blob_budget.load(Ordering::Relaxed)
-    }
-
-    /// Approximate bytes currently held by the blob cache.
-    pub fn blob_bytes(&self) -> u64 {
-        self.blob_bytes.load(Ordering::Relaxed)
-    }
-
-    /// Approximate cache footprint of one image: payload bytes (each
-    /// blob once — snapshots hand out shared handles) plus a fixed
-    /// per-inode overhead.
-    fn image_bytes(image: &Image) -> u64 {
-        image.fs.content_bytes() + image.fs.inode_count() as u64 * crate::INODE_OVERHEAD
-    }
-
-    fn tick(&self) -> u64 {
-        self.clock.fetch_add(1, Ordering::Relaxed)
-    }
-
-    /// Evict least-recently-hit blobs (across all shards) until the
-    /// cache fits its budget. Takes one shard lock at a time: a scan
-    /// pass finds the global LRU victim, a removal pass takes it out —
-    /// racing pulls can reinsert, so the outer loop re-checks and
-    /// gives up once a full pass frees nothing.
-    fn enforce_blob_budget(&self) {
-        let budget = self.blob_budget();
-        if budget == 0 {
-            return;
-        }
-        while self.blob_bytes() > budget {
-            let mut victim: Option<(u64, usize, String)> = None;
-            for (idx, shard) in self.shards.iter().enumerate() {
-                for (key, blob) in shard.lock().iter() {
-                    if victim
-                        .as_ref()
-                        .is_none_or(|(hit, _, _)| blob.last_hit < *hit)
-                    {
-                        victim = Some((blob.last_hit, idx, key.clone()));
-                    }
-                }
-            }
-            let Some((_, idx, key)) = victim else {
-                break; // cache empty
-            };
-            match self.shards[idx].lock().remove(&key) {
-                Some(gone) => {
-                    self.blob_bytes.fetch_sub(gone.bytes, Ordering::Relaxed);
-                    self.evictions.fetch_add(1, Ordering::Relaxed);
-                }
-                None => break, // raced away; avoid spinning
-            }
-        }
-    }
-
-    /// Known references.
-    pub fn catalog() -> Vec<&'static str> {
-        vec![
-            "alpine:3.19",
-            "centos:7",
-            "debian:12",
-            "fedora:40",
-            "scratch:latest",
-        ]
-    }
-
-    /// Which shard a reference lives on.
-    fn shard_of(&self, key: &str) -> &Shard {
-        &self.shards[shard_index(key, self.shards.len())]
-    }
 
     /// Pull an image. Ownership is left as materialized-by-root; callers
     /// (the builder) re-own to the unpacking user via
@@ -555,104 +551,82 @@ impl ShardedRegistry {
     /// ones from other builder threads — clone the cached blob.
     pub fn pull(&self, reference: &ImageRef) -> Result<Image, Errno> {
         let key = reference.to_string();
-        let shard = self.shard_of(&key);
-        shard.pulls.fetch_add(1, Ordering::Relaxed);
         if !self.cost.round_trip.is_zero() {
             // Manifest round trip: every pull pays it, nobody holds a
             // lock over it, so concurrent pulls overlap.
             std::thread::sleep(self.cost.round_trip);
         }
-        if let Some(blob) = shard.lock().get_mut(&key) {
-            blob.last_hit = self.tick();
-            shard.blob_hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(blob.image.clone());
+        {
+            let mut cache = self.cache();
+            cache.pulls += 1;
+            if let Some(image) = cache.hit(&key) {
+                return Ok(image);
+            }
         }
         // Miss: serialize on the *per-reference* fetch lock — never on
-        // the blob map — so a concurrent pull of the same base waits
-        // for this transfer (then hits the cache) while pulls of other
-        // references, co-sharded or not, proceed untouched.
-        let fetch_lock = shard.fetch_lock(&key);
+        // the cache — so a concurrent pull of the same base waits for
+        // this transfer (then hits the cache) while pulls of other
+        // references proceed untouched.
+        let fetch_lock = self.fetch_lock(&key);
         let _fetching = lock_or_poisoned(&fetch_lock);
-        if let Some(blob) = shard.lock().get_mut(&key) {
+        let cached = self.cache().hit(&key);
+        if let Some(image) = cached {
             // Another puller finished the fetch while we waited — and
             // may already have dropped the lock entry, in which case
             // fetch_lock() above re-created it; remove it again so the
             // map never retains entries for cached references.
-            blob.last_hit = self.tick();
-            shard.release_fetch_lock(&key);
-            shard.blob_hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(blob.image.clone());
+            self.release_fetch_lock(&key);
+            return Ok(image);
         }
         // Fault point: `registry.pull.err` fails the fetch itself, as
         // if the transfer died after the manifest round trip. Cached
         // pulls above are unaffected — only real fetches can fail.
         if zr_fault::fires(zr_fault::points::REGISTRY_PULL_ERR) {
-            shard.release_fetch_lock(&key);
+            self.release_fetch_lock(&key);
             return Err(Errno::EIO);
         }
         let image = match self.backend.fetch(reference) {
             Ok(image) => image,
             Err(errno) => {
-                shard.release_fetch_lock(&key);
+                self.release_fetch_lock(&key);
                 return Err(errno);
             }
         };
         if !self.cost.fetch.is_zero() {
             std::thread::sleep(self.cost.fetch);
         }
-        shard.fetches.fetch_add(1, Ordering::Relaxed);
         let bytes = Self::image_bytes(&image);
-        shard.lock().insert(
-            key.clone(),
-            CachedBlob {
-                image: image.clone(),
-                bytes,
-                last_hit: self.tick(),
-            },
-        );
-        self.blob_bytes.fetch_add(bytes, Ordering::Relaxed);
-        shard.release_fetch_lock(&key);
-        self.enforce_blob_budget();
+        {
+            let mut cache = self.cache();
+            cache.fetches += 1;
+            cache.insert(key.clone(), image.clone(), bytes);
+        }
+        self.release_fetch_lock(&key);
         Ok(image)
     }
 
-    /// Total pulls served (all shards).
+    /// Total pulls served.
     pub fn pulls(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.pulls.load(Ordering::Relaxed))
-            .sum()
+        self.cache().pulls
     }
 
     /// Total pull-through misses (images actually materialized).
     pub fn fetches(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.fetches.load(Ordering::Relaxed))
-            .sum()
+        self.cache().fetches
     }
 
-    /// Usage counters, including the per-shard pull distribution.
+    /// Usage counters.
     pub fn stats(&self) -> RegistryStats {
-        let per_shard: Vec<u64> = self
-            .shards
-            .iter()
-            .map(|s| s.pulls.load(Ordering::Relaxed))
-            .collect();
+        let cache = self.cache();
         RegistryStats {
-            pulls: per_shard.iter().sum(),
-            fetches: self.fetches(),
+            pulls: cache.pulls,
+            fetches: cache.fetches,
             // Counted directly, not derived: a failed pull (unknown
             // reference) is neither a fetch nor a blob hit.
-            blob_hits: self
-                .shards
-                .iter()
-                .map(|s| s.blob_hits.load(Ordering::Relaxed))
-                .sum(),
-            blob_bytes: self.blob_bytes(),
-            blob_budget: self.blob_budget(),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            per_shard,
+            blob_hits: cache.blob_hits,
+            blob_bytes: cache.bytes,
+            blob_budget: cache.budget,
+            evictions: cache.evictions,
         }
     }
 }
@@ -751,8 +725,6 @@ mod tests {
         let stats = r.stats();
         assert_eq!(stats.pulls, 2);
         assert_eq!(stats.blob_hits, 1);
-        assert_eq!(stats.per_shard.len(), ShardedRegistry::DEFAULT_SHARDS);
-        assert_eq!(stats.per_shard.iter().sum::<u64>(), 2);
     }
 
     #[test]
@@ -796,7 +768,7 @@ mod tests {
 
     #[test]
     fn blob_budget_evicts_least_recently_pulled() {
-        let r = ShardedRegistry::with_shards(4);
+        let r = ShardedRegistry::new();
         // Cache every base, then re-pull alpine so it is the most
         // recently hit.
         for reference in Registry::catalog() {
@@ -819,17 +791,6 @@ mod tests {
         let _ = r.pull(&ImageRef::parse("centos:7").unwrap());
         assert_eq!(r.fetches(), fetches_before + 1);
         assert!(r.blob_bytes() <= r.blob_budget());
-    }
-
-    #[test]
-    fn shard_count_is_configurable() {
-        let r = ShardedRegistry::with_shards(3);
-        assert_eq!(r.shard_count(), 3);
-        assert_eq!(ShardedRegistry::with_shards(0).shard_count(), 1);
-        for reference in Registry::catalog() {
-            assert!(r.pull(&ImageRef::parse(reference).unwrap()).is_ok());
-        }
-        assert_eq!(r.stats().per_shard.len(), 3);
     }
 
     #[test]

@@ -360,10 +360,10 @@ fn read_layout_blob(dir: &Path, digest: &str) -> Result<Vec<u8>> {
 }
 
 /// A [`RegistryBackend`] that resolves `FROM` references against a
-/// live distribution endpoint. Everything above it — sharding, the
-/// pull-through blob cache, per-reference fetch locks — is the
-/// existing `ShardedRegistry` machinery; only the miss path changes
-/// from the built-in catalog to HTTP.
+/// live distribution endpoint. Everything above it — the pull-through
+/// blob cache, per-reference fetch locks — is the existing
+/// `ShardedRegistry` machinery; only the miss path changes from the
+/// built-in catalog to HTTP.
 #[derive(Debug, Clone)]
 pub struct WireBackend {
     remote: RemoteRegistry,

@@ -248,7 +248,6 @@ fn wire_backend_feeds_the_sharded_registry() {
         .expect("push base image");
 
     let registry = zr_image::ShardedRegistry::with_backend(
-        4,
         zr_image::PullCost::default(),
         Arc::new(WireBackend::new(server.addr().to_string())),
     );

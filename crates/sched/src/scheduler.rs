@@ -23,7 +23,7 @@ use zeroroot_core::sync::lock_or_poisoned;
 
 use zr_build::{BuildError, BuildOptions, BuildResult, Builder, StageOutput, Stages};
 use zr_fault::points;
-use zr_image::{LayerStore, PullCost, RegistryBackend, ShardedRegistry};
+use zr_image::{CatalogBackend, LayerStore, PullCost, RegistryBackend, ShardedRegistry};
 use zr_kernel::Kernel;
 use zr_plan::BuildPlan;
 
@@ -171,15 +171,13 @@ pub struct SchedulerConfig {
     pub jobs: usize,
     /// Cancel the rest of the batch when any build fails.
     pub fail_fast: bool,
-    /// Shard count for the scheduler-owned registry.
-    pub registry_shards: usize,
     /// Modeled network cost of registry pulls (benchmarks dial this up
     /// to measure how well workers overlap their pulls).
     pub pull_cost: PullCost,
     /// Layer-cache size budget in bytes (0 = unlimited).
     pub cache_limit: u64,
-    /// Registry blob-cache byte budget (0 = unlimited): per-shard LRU
-    /// eviction against one global counter.
+    /// Registry blob-cache byte budget (0 = unlimited): least-recently
+    /// pulled bases are evicted first.
     pub blob_budget: u64,
     /// Persistent layer-store directory (`--cache-dir`). When set, the
     /// shared layer store is backed by `zr-store`: every worker's
@@ -207,7 +205,6 @@ impl Default for SchedulerConfig {
                 .map(|n| n.get())
                 .unwrap_or(1),
             fail_fast: false,
-            registry_shards: ShardedRegistry::DEFAULT_SHARDS,
             pull_cost: PullCost::default(),
             cache_limit: 0,
             blob_budget: 0,
@@ -892,14 +889,11 @@ impl Scheduler {
     /// [`new`](Self::new), with persistent-store failures returned
     /// instead of panicking.
     pub fn try_new(config: SchedulerConfig) -> zr_store::Result<Scheduler> {
-        let registry = Arc::new(match &config.backend {
-            Some(backend) => ShardedRegistry::with_backend(
-                config.registry_shards,
-                config.pull_cost,
-                backend.clone(),
-            ),
-            None => ShardedRegistry::with_cost(config.registry_shards, config.pull_cost),
-        });
+        let backend = config
+            .backend
+            .clone()
+            .unwrap_or_else(|| Arc::new(CatalogBackend));
+        let registry = Arc::new(ShardedRegistry::with_backend(config.pull_cost, backend));
         registry.set_blob_budget(config.blob_budget);
         let (layers, disk) = match &config.cache_dir {
             Some(dir) => {

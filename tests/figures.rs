@@ -1,5 +1,5 @@
-//! Integration tests for the paper's figures (experiments F1a, F1b, F2 of
-//! EXPERIMENTS.md), with trace-level verification the published logs can
+//! Integration tests for the paper's figures (paper-report's checks F1a,
+//! F1b and F2), with trace-level verification the published logs can
 //! only imply.
 
 use zeroroot::syscalls::Sysno;
