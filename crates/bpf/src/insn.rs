@@ -164,7 +164,7 @@ pub struct Program {
 
 impl Program {
     /// Wrap a raw instruction vector. No validation — call
-    /// [`crate::validate`] before trusting the program.
+    /// [`crate::validate()`] before trusting the program.
     pub fn new(insns: Vec<Insn>) -> Program {
         Program { insns }
     }

@@ -7,9 +7,9 @@
 //! faithful reimplementation of that machine:
 //!
 //! * [`Insn`] / [`Program`] — the `sock_filter` instruction encoding.
-//! * [`validate`] — the kernel's `sk_chk_filter` admission rules: bounded
-//!   length, in-bounds **forward-only** jumps, valid opcodes, terminating
-//!   `RET` on every path.
+//! * [`validate`](mod@validate) — the kernel's `sk_chk_filter` admission
+//!   rules: bounded length, in-bounds **forward-only** jumps, valid
+//!   opcodes, terminating `RET` on every path.
 //! * [`interp`] — the in-kernel evaluator, instrumented with an instruction
 //!   counter so benches can report filter cost per syscall.
 //! * [`asm`] — a structured assembler with labels, used by `zr-seccomp` to

@@ -24,8 +24,8 @@ use zr_dockerfile::{parse, substitute, CopySpec, Dockerfile, Instruction};
 use zr_plan::{BaseRef, BuildPlan};
 
 use zr_image::{
-    CacheKey, Image, ImageMeta, ImageRef, ImageStore, Layer, LayerState, LayerStore,
-    ShardedRegistry, StageSnapshot,
+    CacheKey, Image, ImageMeta, ImageRef, Layer, LayerState, LayerStore, ShardedRegistry,
+    StageSnapshot,
 };
 use zr_kernel::container::Container;
 use zr_kernel::{ContainerConfig, Kernel, SysExt};
@@ -37,20 +37,20 @@ use zr_vfs::fs::{FollowMode, Fs};
 use zr_vfs::inode::FileKind;
 use zr_vfs::path::{join, split_parent};
 
-/// The current build stage: one container plus its evolving metadata.
+/// The current build stage: one container plus its evolving metadata
+/// (`meta.env` is the stage's ENV state; later entries win).
 struct Stage {
     container: Container,
     meta: ImageMeta,
-    /// ENV state (image defaults + ENV instructions; later entries win).
-    env: Vec<(String, String)>,
     /// The SHELL prefix RUN shell-form commands run under.
     shell: Vec<String>,
 }
 
-/// The image builder: local store plus *shared* registry and layer-cache
-/// handles, reused across builds (pulls accumulate in the registry's
-/// counters; layers accumulate in `layers`, which is what makes warm
-/// rebuilds skip execution).
+/// The image builder: *shared* registry and layer-cache handles,
+/// reused across builds (pulls accumulate in the registry's counters;
+/// layers accumulate in `layers`, which is what makes warm rebuilds
+/// skip execution). A builder keeps no other state, so a build logs
+/// the same lines whether it runs here or on a scheduler worker.
 ///
 /// The registry handle is an `Arc` and the layer store is itself a
 /// shared handle, so many builders — one per scheduler worker, say —
@@ -59,8 +59,6 @@ struct Stage {
 /// similar Dockerfiles get cross-build layer hits.
 #[derive(Debug, Default)]
 pub struct Builder {
-    /// Built and pulled images, by tag (builder-local).
-    pub store: ImageStore,
     /// The registry simulator (shareable across builders).
     pub registry: Arc<ShardedRegistry>,
     /// The instruction-level layer cache (shareable across builders).
@@ -68,7 +66,7 @@ pub struct Builder {
 }
 
 impl Builder {
-    /// A builder with an empty store and private registry/cache handles.
+    /// A builder with private registry and layer-cache handles.
     pub fn new() -> Builder {
         Builder::default()
     }
@@ -76,11 +74,7 @@ impl Builder {
     /// A builder sharing a registry and a layer store with other
     /// builders (the scheduler's per-worker construction).
     pub fn with_shared(registry: Arc<ShardedRegistry>, layers: LayerStore) -> Builder {
-        Builder {
-            store: ImageStore::new(),
-            registry,
-            layers,
-        }
+        Builder { registry, layers }
     }
 
     /// A builder whose layer cache is backed by the persistent store
@@ -94,7 +88,6 @@ impl Builder {
         let (layers, disk) = zr_store::open_layer_store(dir)?;
         Ok((
             Builder {
-                store: ImageStore::new(),
                 registry: Arc::default(),
                 layers,
             },
@@ -129,11 +122,7 @@ impl Builder {
                 break;
             }
         }
-        let result = assemble(&plan, opts, &mut stages);
-        if let Some(image) = &result.image {
-            self.store.save(&opts.tag, image.clone());
-        }
-        result
+        assemble(&plan, opts, &mut stages)
     }
 
     /// Build one stage of a compiled [`BuildPlan`]: walk its cached
@@ -217,19 +206,15 @@ impl Builder {
                     let Some(state) = self.layers.peek_state(&key) else {
                         break;
                     };
-                    hit_log.push(hit_line(
+                    hit_log.push(instruction_line(
                         idx + 1,
+                        '*',
                         instruction,
                         &env,
                         &rargs,
                         &opts.build_args,
                         run_marker,
                     ));
-                    if matches!(instruction, Instruction::From { .. })
-                        && self.store.contains(&opts.tag)
-                    {
-                        hit_log.push(format!("updating existing image: {}", opts.tag));
-                    }
                     env = state
                         .stage
                         .as_ref()
@@ -283,49 +268,32 @@ impl Builder {
         let mut args: Vec<(String, String)> = Vec::new();
         if let Some(layer) = restored {
             args = layer.state.args.clone();
-            if let Some(snap) = layer.state.stage.clone() {
-                register_image_binaries(kernel, &snap.meta);
-                let container = kernel
-                    .container_create(
-                        Kernel::HOST_USER_PID,
-                        ContainerConfig {
-                            ctype: opts.container_type,
-                            // The container gets its own filesystem:
-                            // a CoW snapshot — O(pages) pointer clones
-                            // outside any store lock, with payload
-                            // blobs shared with the cached layer.
-                            image: layer.fs.clone(),
-                        },
-                    )
-                    .map_err(|errno| BuildError::ContainerSetup {
-                        ctype: opts.container_type,
-                        errno,
-                    })?;
+            if let Some(snap) = &layer.state.stage {
+                let image = Image {
+                    meta: snap.meta.clone(),
+                    fs: layer.fs.clone(),
+                };
+                let mut entered = enter_stage(kernel, opts, image)?;
+                entered.shell = snap.shell.clone();
                 if snap.cwd != "/" {
-                    let mut ctx = kernel.ctx(container.init_pid);
+                    let mut ctx = kernel.ctx(entered.container.init_pid);
                     ctx.chdir(&snap.cwd).map_err(|e| BuildError::Instruction {
                         instruction: start as u32,
                         message: format!("cache restore: chdir {}: {e}", snap.cwd),
                     })?;
                 }
-                stage = Some(Stage {
-                    container,
-                    meta: snap.meta,
-                    env: snap.env,
-                    shell: snap.shell,
-                });
+                stage = Some(entered);
             }
         }
 
         // ---- execute the remainder, snapshotting each instruction ----
         for (idx, (_, instruction)) in insns.iter().enumerate().skip(start) {
             let n = idx + 1;
-            // Key first: it is defined over the state *before* the
-            // instruction runs.
-            let key = if opts.cache.writable() {
-                let empty: &[(String, String)] = &[];
-                let env = stage.as_ref().map_or(empty, |s| s.env.as_slice());
-                Some(cache::layer_key(
+            // Key and log line first: both are defined over the state
+            // *before* the instruction runs.
+            let env = stage_env(&stage);
+            let key = opts.cache.writable().then(|| {
+                cache::layer_key(
                     parent.as_ref(),
                     instruction,
                     env,
@@ -333,67 +301,66 @@ impl Builder {
                     opts,
                     &config,
                     &resolve,
-                ))
-            } else {
-                None
+                )
+            });
+            // FROM renders as a hit whenever the cache may be consulted:
+            // base images come from storage, and the pull is a copy, not
+            // an execution (the paper's figures show `1* FROM`).
+            // `--no-cache` is the one honest miss rendering.
+            let mark = match instruction {
+                Instruction::From { .. } if opts.cache.readable() => '*',
+                _ => '.',
             };
+            let line = instruction_line(
+                n,
+                mark,
+                instruction,
+                env,
+                &args,
+                &opts.build_args,
+                run_marker,
+            );
             // A miss is an execution *attempt*: failed instructions
             // count too (they consulted the cache and found nothing).
             out.cache.misses += 1;
             match instruction {
-                Instruction::From { image, alias } => {
-                    let reference = subst_with(image, &stage, &args);
-                    // FROM renders as a hit whenever the cache may be
-                    // consulted: base images come from storage, and the
-                    // pull is a copy, not an execution (the paper's
-                    // figures show `1* FROM`). `--no-cache` is the one
-                    // honest miss rendering.
-                    let mark = if opts.cache.readable() { '*' } else { '.' };
-                    match alias {
-                        Some(a) => out.log.push(format!("{n}{mark} FROM {reference} AS {a}")),
-                        None => out.log.push(format!("{n}{mark} FROM {reference}")),
-                    }
-                    if self.store.contains(&opts.tag) {
-                        out.log
-                            .push(format!("updating existing image: {}", opts.tag));
-                    }
-                    stage = Some(match &plan.stages()[stage_idx].base {
+                Instruction::From { image, .. } => {
+                    out.log.push(line);
+                    let reference = substitute(image, &cache::lookup(env, &args));
+                    let base = match &plan.stages()[stage_idx].base {
                         BaseRef::Stage(i) => {
-                            let src = images.get(i).ok_or_else(|| BuildError::Instruction {
-                                instruction: n as u32,
-                                message: format!("FROM {reference}: stage {i} result unavailable"),
-                            })?;
-                            start_stage_from(kernel, src, opts)?
+                            images
+                                .get(i)
+                                .cloned()
+                                .ok_or_else(|| BuildError::Instruction {
+                                    instruction: n as u32,
+                                    message: format!(
+                                        "FROM {reference}: stage {i} result unavailable"
+                                    ),
+                                })?
                         }
-                        BaseRef::Image(_) => self.start_stage(kernel, &reference, opts, out)?,
-                    });
+                        BaseRef::Image(_) => self.pull_base(kernel, &reference, out)?,
+                    };
+                    stage = Some(enter_stage(kernel, opts, base)?);
                 }
                 Instruction::Env(pairs) => {
+                    out.log.push(line);
                     let stage_ref = stage.as_mut().ok_or_else(|| missing_from("ENV"))?;
-                    let mut shown = Vec::new();
                     for (key, value) in pairs {
-                        let value = substitute(value, &cache::lookup(&stage_ref.env, &args));
-                        shown.push(format!("{key}={value}"));
-                        stage_ref.env.push((key.clone(), value.clone()));
+                        let value = substitute(value, &cache::lookup(&stage_ref.meta.env, &args));
                         stage_ref.meta.env.push((key.clone(), value));
                     }
-                    out.log.push(format!("{n}. ENV {}", shown.join(" ")));
                 }
                 Instruction::Arg { name, default } => {
-                    let value = cache::resolve_arg(
-                        name,
-                        default.as_deref(),
-                        stage_env(&stage),
-                        &args,
-                        &opts.build_args,
-                    );
-                    out.log.push(format!("{n}. ARG {name}={value}"));
+                    out.log.push(line);
+                    let value =
+                        cache::resolve_arg(name, default.as_deref(), env, &args, &opts.build_args);
                     args.push((name.clone(), value));
                 }
                 Instruction::Workdir(path) => {
+                    out.log.push(line);
                     let stage_ref = stage.as_mut().ok_or_else(|| missing_from("WORKDIR"))?;
-                    let path = substitute(path, &cache::lookup(&stage_ref.env, &args));
-                    out.log.push(format!("{n}. WORKDIR {path}"));
+                    let path = substitute(path, &cache::lookup(&stage_ref.meta.env, &args));
                     let pid = stage_ref.container.init_pid;
                     let mut ctx = kernel.ctx(pid);
                     let absolute = join(&ctx.getcwd(), &path);
@@ -405,27 +372,17 @@ impl Builder {
                         })?;
                 }
                 Instruction::User(spec) => {
+                    out.log.push(line);
                     // A Type III namespace maps exactly one id; USER is
                     // recorded but cannot change identity (§2).
-                    out.log.push(format!("{n}. USER {spec}"));
                     if spec != "root" && spec != "0" {
                         out.log
                             .push("warning: USER ignored (single-id namespace)".into());
                     }
                 }
-                Instruction::Label(pairs) => {
-                    let shown: Vec<String> =
-                        pairs.iter().map(|(k, v)| format!("{k}={v}")).collect();
-                    out.log.push(format!("{n}. LABEL {}", shown.join(" ")));
-                }
                 Instruction::Copy(spec) | Instruction::Add(spec) => {
+                    out.log.push(line);
                     let stage_ref = stage.as_mut().ok_or_else(|| missing_from("COPY"))?;
-                    out.log.push(format!(
-                        "{n}. {} {} -> {}",
-                        instruction.keyword(),
-                        spec.sources.join(" "),
-                        spec.dest
-                    ));
                     match &spec.from {
                         Some(from) => {
                             let src_idx = plan.resolve_from(from, stage_idx).ok_or_else(|| {
@@ -448,15 +405,9 @@ impl Builder {
                         None => copy_into_stage(kernel, stage_ref, opts, spec, n as u32, &args)?,
                     }
                 }
-                Instruction::Entrypoint(argv) => {
-                    out.log.push(format!("{n}. ENTRYPOINT {argv:?}"));
-                }
-                Instruction::Cmd(argv) => {
-                    out.log.push(format!("{n}. CMD {argv:?}"));
-                }
                 Instruction::Shell(argv) => {
+                    out.log.push(line);
                     let stage_ref = stage.as_mut().ok_or_else(|| missing_from("SHELL"))?;
-                    out.log.push(format!("{n}. SHELL {argv:?}"));
                     if argv.is_empty() {
                         return Err(BuildError::Instruction {
                             instruction: n as u32,
@@ -465,9 +416,11 @@ impl Builder {
                     }
                     stage_ref.shell = argv.clone();
                 }
-                Instruction::NoOp { keyword, args: raw } => {
-                    out.log.push(format!("{n}. {keyword} {raw}"));
-                }
+                // Image metadata only: the line is the whole effect.
+                Instruction::Label(_)
+                | Instruction::Entrypoint(_)
+                | Instruction::Cmd(_)
+                | Instruction::NoOp { .. } => out.log.push(line),
                 Instruction::RunShell(_) | Instruction::RunExec(_) => {
                     let stage_ref = stage.as_mut().ok_or_else(|| missing_from("RUN"))?;
                     self.run_instruction(
@@ -475,6 +428,7 @@ impl Builder {
                         stage_ref,
                         opts,
                         instruction,
+                        line,
                         n as u32,
                         &args,
                         out,
@@ -489,7 +443,7 @@ impl Builder {
                     args: args.clone(),
                     stage: stage.as_ref().map(|s| StageSnapshot {
                         meta: s.meta.clone(),
-                        env: s.env.clone(),
+                        env: s.meta.env.clone(),
                         shell: s.shell.clone(),
                         cwd: kernel.process(s.container.init_pid).cwd.clone(),
                     }),
@@ -515,21 +469,21 @@ impl Builder {
         })
     }
 
-    /// FROM: pull, re-own as the unprivileged unpacking user, register
-    /// program behaviours, and set up the container.
+    /// Registry FROM's pull step: pull `reference` and re-own the
+    /// result as the unprivileged unpacking user, ready for
+    /// [`enter_stage`].
     ///
     /// Degraded mode: when the pull dies with a *transport* error (not
     /// "no such image" / "bad reference") and a pull of the same
     /// reference previously succeeded against this layer store, the
     /// locally cached base is used instead — the build completes with
     /// `CacheStats::base_fallbacks` bumped rather than failing.
-    fn start_stage(
-        &mut self,
-        kernel: &mut Kernel,
+    fn pull_base(
+        &self,
+        kernel: &Kernel,
         reference: &str,
-        opts: &BuildOptions,
         out: &mut StageOutput,
-    ) -> Result<Stage, BuildError> {
+    ) -> Result<Image, BuildError> {
         let image_ref = ImageRef::parse(reference).ok_or_else(|| BuildError::Pull {
             reference: reference.into(),
             errno: zr_syscalls::Errno::EINVAL,
@@ -571,31 +525,12 @@ impl Builder {
         // (Charliecloud storage model; the single-id map then shows the
         // tree as root-owned inside the container).
         image.chown_all(kernel.config.host_uid, kernel.config.host_gid);
-        register_image_binaries(kernel, &image.meta);
-
-        let container = kernel
-            .container_create(
-                Kernel::HOST_USER_PID,
-                ContainerConfig {
-                    ctype: opts.container_type,
-                    image: image.fs,
-                },
-            )
-            .map_err(|errno| BuildError::ContainerSetup {
-                ctype: opts.container_type,
-                errno,
-            })?;
-
-        let env = image.meta.env.clone();
-        Ok(Stage {
-            container,
-            meta: image.meta,
-            env,
-            shell: vec!["/bin/sh".into(), "-c".into()],
-        })
+        Ok(image)
     }
 
-    /// One RUN instruction: arm the strategy, exec, fold output, disarm.
+    /// One RUN instruction: arm the strategy, log `line`, exec, fold
+    /// output, disarm. The line follows the strategy's set-up lines, and
+    /// a failed `prepare` logs none.
     #[allow(clippy::too_many_arguments)] // internal; bundling hurts call sites
     fn run_instruction(
         &mut self,
@@ -603,6 +538,7 @@ impl Builder {
         stage: &mut Stage,
         opts: &BuildOptions,
         instruction: &Instruction,
+        line: String,
         n: u32,
         args: &[(String, String)],
         out: &mut StageOutput,
@@ -639,7 +575,7 @@ impl Builder {
         // Assemble argv. Shell-form commands may get the §5 apt
         // workaround spliced in (zero-consistency modes only); the log
         // shows the original text, as ch-image does.
-        let (display, path, argv) = match instruction {
+        let (path, argv) = match instruction {
             Instruction::RunShell(cmd) => {
                 let mut executed = cmd.clone();
                 if matches!(opts.force, Mode::Seccomp | Mode::SeccompXattr) {
@@ -651,20 +587,15 @@ impl Builder {
                 }
                 let mut argv = stage.shell.clone();
                 argv.push(executed);
-                (cmd.clone(), stage.shell[0].clone(), argv)
+                (stage.shell[0].clone(), argv)
             }
-            Instruction::RunExec(argv) => (
-                argv.join(" "),
-                argv.first().cloned().unwrap_or_default(),
-                argv.clone(),
-            ),
+            Instruction::RunExec(argv) => (argv.first().cloned().unwrap_or_default(), argv.clone()),
             _ => unreachable!("caller matched RUN forms"),
         };
-        out.log
-            .push(format!("{n}. {} {display}", strategy.run_marker()));
+        out.log.push(line);
 
         let mut run_env: Vec<(String, String)> = args.to_vec();
-        run_env.extend(stage.env.iter().cloned());
+        run_env.extend(stage.meta.env.iter().cloned());
 
         let status = kernel.exec_in(pid, &path, argv, run_env);
         out.log.extend(kernel.take_console());
@@ -818,30 +749,34 @@ pub fn assemble(plan: &BuildPlan, opts: &BuildOptions, stages: &mut Stages) -> B
     result
 }
 
-/// The `N* INSTR` line a cache hit prints: the executed rendering of
-/// the instruction with `*` in place of `.` (ch-image's hit marker),
-/// and no side-effect lines (warnings, transcripts) — nothing ran.
-fn hit_line(
+/// Instruction `n`'s log line, `N. INSTR` or `N* INSTR` by `mark`:
+/// the execution loop passes `.` (`*` for FROM whenever the cache is
+/// readable), the replay walk passes `*` (ch-image's hit marker). `env`
+/// and `args` are the state *before* the instruction. Side lines
+/// (warnings, transcripts) are not part of it: they appear only when
+/// the instruction executes.
+fn instruction_line(
     n: usize,
+    mark: char,
     instruction: &Instruction,
     env: &[(String, String)],
     args: &[(String, String)],
     build_args: &[(String, String)],
     run_marker: &str,
 ) -> String {
-    match instruction {
+    let text = match instruction {
         Instruction::From { image, alias } => {
             let reference = substitute(image, &cache::lookup(env, args));
             match alias {
-                Some(a) => format!("{n}* FROM {reference} AS {a}"),
-                None => format!("{n}* FROM {reference}"),
+                Some(a) => format!("FROM {reference} AS {a}"),
+                None => format!("FROM {reference}"),
             }
         }
-        Instruction::RunShell(cmd) => format!("{n}* {run_marker} {cmd}"),
-        Instruction::RunExec(argv) => format!("{n}* {run_marker} {}", argv.join(" ")),
+        Instruction::RunShell(cmd) => format!("{run_marker} {cmd}"),
+        Instruction::RunExec(argv) => format!("{run_marker} {}", argv.join(" ")),
         Instruction::Env(pairs) => {
-            // Mirror the executed rendering: substitution is sequential,
-            // later pairs may reference earlier ones.
+            // Substitution is sequential: later pairs may reference
+            // earlier ones.
             let mut seen = env.to_vec();
             let mut shown = Vec::new();
             for (key, value) in pairs {
@@ -849,62 +784,62 @@ fn hit_line(
                 shown.push(format!("{key}={value}"));
                 seen.push((key.clone(), value));
             }
-            format!("{n}* ENV {}", shown.join(" "))
+            format!("ENV {}", shown.join(" "))
         }
         Instruction::Arg { name, default } => {
             let value = cache::resolve_arg(name, default.as_deref(), env, args, build_args);
-            format!("{n}* ARG {name}={value}")
+            format!("ARG {name}={value}")
         }
         Instruction::Workdir(path) => {
             let path = substitute(path, &cache::lookup(env, args));
-            format!("{n}* WORKDIR {path}")
+            format!("WORKDIR {path}")
         }
-        Instruction::User(spec) => format!("{n}* USER {spec}"),
+        Instruction::User(spec) => format!("USER {spec}"),
         Instruction::Label(pairs) => {
             let shown: Vec<String> = pairs.iter().map(|(k, v)| format!("{k}={v}")).collect();
-            format!("{n}* LABEL {}", shown.join(" "))
+            format!("LABEL {}", shown.join(" "))
         }
         Instruction::Copy(spec) | Instruction::Add(spec) => format!(
-            "{n}* {} {} -> {}",
+            "{} {} -> {}",
             instruction.keyword(),
             spec.sources.join(" "),
             spec.dest
         ),
-        Instruction::Entrypoint(argv) => format!("{n}* ENTRYPOINT {argv:?}"),
-        Instruction::Cmd(argv) => format!("{n}* CMD {argv:?}"),
-        Instruction::Shell(argv) => format!("{n}* SHELL {argv:?}"),
-        Instruction::NoOp { keyword, args: raw } => format!("{n}* {keyword} {raw}"),
-    }
+        Instruction::Entrypoint(argv) => format!("ENTRYPOINT {argv:?}"),
+        Instruction::Cmd(argv) => format!("CMD {argv:?}"),
+        Instruction::Shell(argv) => format!("SHELL {argv:?}"),
+        Instruction::NoOp { keyword, args: raw } => format!("{keyword} {raw}"),
+    };
+    format!("{n}{mark} {text}")
 }
 
-/// FROM an earlier stage: the source image is consumed in place — its
-/// filesystem handle becomes the new container's CoW base (O(pages)
-/// pointer clones, payload blobs shared), with no pull, no re-chown
-/// (the source build already owns every inode as the builder), and its
-/// metadata (env, registered binaries) carried forward.
-fn start_stage_from(
+/// Enter a stage over `image`: register its program behaviours and
+/// create the container on its filesystem handle. Every stage starts
+/// here — a pulled base, an earlier stage's result, or a restored cache
+/// snapshot — and the handle is a CoW snapshot (O(pages) pointer
+/// clones, payload blobs shared with its source), so no bytes are
+/// copied. The shell starts as `/bin/sh -c`.
+fn enter_stage(
     kernel: &mut Kernel,
-    source: &Image,
     opts: &BuildOptions,
+    image: Image,
 ) -> Result<Stage, BuildError> {
-    register_image_binaries(kernel, &source.meta);
+    register_image_binaries(kernel, &image.meta);
     let container = kernel
         .container_create(
             Kernel::HOST_USER_PID,
             ContainerConfig {
                 ctype: opts.container_type,
-                image: source.fs.clone(),
+                image: image.fs,
             },
         )
         .map_err(|errno| BuildError::ContainerSetup {
             ctype: opts.container_type,
             errno,
         })?;
-    let env = source.meta.env.clone();
     Ok(Stage {
         container,
-        meta: source.meta.clone(),
-        env,
+        meta: image.meta,
         shell: vec!["/bin/sh".into(), "-c".into()],
     })
 }
@@ -923,12 +858,12 @@ fn copy_from_stage(
     args: &[(String, String)],
 ) -> Result<(), BuildError> {
     let pid = stage.container.init_pid;
-    let dest = substitute(&spec.dest, &cache::lookup(&stage.env, args));
+    let dest = substitute(&spec.dest, &cache::lookup(&stage.meta.env, args));
     let dir_like = dest.ends_with('/') || spec.sources.len() > 1;
 
     let mut written = Vec::new();
     for src in &spec.sources {
-        let src = substitute(src, &cache::lookup(&stage.env, args));
+        let src = substitute(src, &cache::lookup(&stage.meta.env, args));
         // Stage-source paths are image paths, absolute by convention.
         let abs_src = if src.starts_with('/') {
             src.clone()
@@ -1071,12 +1006,12 @@ fn copy_into_stage(
     args: &[(String, String)],
 ) -> Result<(), BuildError> {
     let pid = stage.container.init_pid;
-    let dest = substitute(&spec.dest, &cache::lookup(&stage.env, args));
+    let dest = substitute(&spec.dest, &cache::lookup(&stage.meta.env, args));
     let dir_like = dest.ends_with('/') || spec.sources.len() > 1;
 
     let mut written = Vec::new();
     for source in &spec.sources {
-        let source = substitute(source, &cache::lookup(&stage.env, args));
+        let source = substitute(source, &cache::lookup(&stage.meta.env, args));
         let blob = opts
             .context
             .iter()
@@ -1172,14 +1107,9 @@ fn has_fakeroot(kernel: &Kernel, stage: &Stage) -> bool {
             .is_ok()
 }
 
-/// Substitute against an optional stage's env + ARGs.
-fn subst_with(text: &str, stage: &Option<Stage>, args: &[(String, String)]) -> String {
-    substitute(text, &cache::lookup(stage_env(stage), args))
-}
-
 /// The env slice of an optional stage (empty before FROM).
 fn stage_env(stage: &Option<Stage>) -> &[(String, String)] {
-    stage.as_ref().map_or(&[], |s| &s.env[..])
+    stage.as_ref().map_or(&[], |s| &s.meta.env[..])
 }
 
 fn missing_from(keyword: &str) -> BuildError {
@@ -1444,20 +1374,6 @@ mod tests {
         let data = image.fs.read_file("/artifact", &Access::root()).unwrap();
         assert_eq!(data, b"v2\n", "stale cross-stage copy was replayed");
         assert!(r2.cache.misses >= 2, "RUN and the COPY --from must re-run");
-    }
-
-    #[test]
-    fn built_image_lands_in_store() {
-        let mut kernel = Kernel::default_kernel();
-        let mut builder = Builder::new();
-        let r = builder.build(
-            &mut kernel,
-            "FROM alpine:3.19\nRUN true\n",
-            &BuildOptions::new("stored", Mode::None),
-        );
-        assert!(r.success, "{}", r.log_text());
-        assert!(builder.store.contains("stored"));
-        assert_eq!(builder.store.get("stored").unwrap().meta.tag, "stored");
     }
 
     #[test]

@@ -12,6 +12,14 @@
 //! because every privileged syscall was intercepted, **executed not at
 //! all**, and reported successful.
 //!
+//! Every build, serial or scheduled, takes one path: [`plan`], then
+//! [`Builder::build_stage`] per stage, then [`assemble`]. Within a
+//! stage, one function creates the container (over a pulled base, an
+//! earlier stage, or a restored cache snapshot) and one renders every
+//! `N.`/`N*` instruction line. A [`Builder`] holds only its shared
+//! registry and layer-cache handles, so one input logs the same lines
+//! on every path.
+//!
 //! ```
 //! use zeroroot_core::Mode;
 //! use zr_build::{BuildOptions, Builder};

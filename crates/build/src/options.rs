@@ -22,7 +22,7 @@ pub fn context_file(name: &str, data: Vec<u8>) -> ContextFile {
 /// Options for one build, mirroring `ch-image build -t TAG --force=MODE`.
 #[derive(Debug, Clone)]
 pub struct BuildOptions {
-    /// Destination tag in the image store (`-t`).
+    /// Destination tag (`-t`), applied to the target stage's image.
     pub tag: String,
     /// Root-emulation strategy for RUN instructions (`--force=`).
     pub force: Mode,

@@ -231,6 +231,82 @@ fn layers_are_shared_across_tags() {
     // A different destination tag replays the same chain entirely.
     let other = builder.build(&mut kernel, DF, &BuildOptions::new("two", Mode::Seccomp));
     assert_eq!((other.cache.hits, other.cache.misses), (4, 0));
-    assert!(builder.store.contains("one") && builder.store.contains("two"));
     assert_eq!(other.image.expect("image").meta.tag, "two");
+}
+
+/// Every instruction kind, each once (RUN in both forms), with ARG, ENV
+/// and WORKDIR substitution in play.
+const EVERY_KIND: &str = "ARG BASE=alpine:3.19\n\
+                          FROM $BASE AS main\n\
+                          ENV A=1 B=${A}2\n\
+                          ARG V=x${B}\n\
+                          WORKDIR /w/$A\n\
+                          USER nobody\n\
+                          LABEL org.example.k=v\n\
+                          COPY app.conf /etc/app.conf\n\
+                          ADD app.conf /opt/\n\
+                          SHELL [\"/bin/sh\", \"-c\"]\n\
+                          ENTRYPOINT [\"/bin/sh\"]\n\
+                          CMD [\"-c\", \"true\"]\n\
+                          EXPOSE 80\n\
+                          RUN echo $V > /v\n\
+                          RUN [\"/usr/bin/true\"]\n";
+
+/// The `N. INSTR` / `N* INSTR` lines of a log, as (N, marker, INSTR).
+fn instruction_lines(log: &[String]) -> Vec<(u32, char, String)> {
+    log.iter()
+        .filter_map(|line| {
+            let digits = line.find(|c: char| !c.is_ascii_digit())?;
+            let n = line[..digits].parse().ok()?;
+            let mut rest = line[digits..].chars();
+            let mark = rest.next().filter(|m| matches!(m, '.' | '*'))?;
+            let text = rest.as_str().strip_prefix(' ')?;
+            Some((n, mark, text.to_string()))
+        })
+        .collect()
+}
+
+#[test]
+fn every_instruction_kind_renders_the_same_hit_or_executed() {
+    let mut kernel = Kernel::default_kernel();
+    let mut builder = Builder::new();
+    let mut opts = BuildOptions::new("t", Mode::Seccomp);
+    opts.context = vec![context_file("app.conf", b"k=v\n".to_vec())];
+
+    let cold = builder.build(&mut kernel, EVERY_KIND, &opts);
+    assert!(cold.success, "{}", cold.log_text());
+    let warm = builder.build(&mut kernel, EVERY_KIND, &opts);
+    assert!(warm.success, "{}", warm.log_text());
+    assert_eq!((warm.cache.hits, warm.cache.misses), (15, 0));
+
+    let cold_lines = instruction_lines(&cold.log);
+    let warm_lines = instruction_lines(&warm.log);
+    assert_eq!(cold_lines.len(), 15, "{}", cold.log_text());
+    assert_eq!(warm_lines.len(), 15, "{}", warm.log_text());
+    for ((n, cold_mark, executed), (warm_n, warm_mark, hit)) in cold_lines.iter().zip(&warm_lines) {
+        // FROM is a hit on every cache-reading build; the rest executed.
+        let from = executed.starts_with("FROM ");
+        assert_eq!(
+            *cold_mark,
+            if from { '*' } else { '.' },
+            "{n}{cold_mark} {executed}"
+        );
+        assert_eq!((warm_n, *warm_mark), (n, '*'), "{warm_n}{warm_mark} {hit}");
+        assert_eq!(hit, executed, "line {n}");
+    }
+    // Substitutions resolved identically on both paths.
+    let cold_log = cold.log_text();
+    for rendered in [
+        "2* FROM alpine:3.19 AS main",
+        "3. ENV A=1 B=12",
+        "4. ARG V=x12",
+        "5. WORKDIR /w/1",
+        "14. RUN.S echo $V > /v",
+        "15. RUN.S /usr/bin/true",
+    ] {
+        assert!(cold_log.contains(rendered), "{rendered}:\n{cold_log}");
+    }
+    // Side lines appear only when the instruction executes.
+    assert!(cold_log.contains("warning: USER ignored"), "{cold_log}");
+    assert!(!warm.log_text().contains("warning:"), "{}", warm.log_text());
 }

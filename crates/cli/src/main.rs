@@ -178,11 +178,13 @@ struct BuildFlags {
     positional: Vec<String>,
 }
 
+/// A flag's numeric value; unparsable is the usage error (exit 2).
+fn number<T: std::str::FromStr>(value: &str) -> Result<T, ExitCode> {
+    value.parse().map_err(|_| usage())
+}
+
 /// Parse the shared build flags; `Err` carries the exit code.
 fn parse_build_flags(args: &[String]) -> Result<BuildFlags, ExitCode> {
-    fn number<T: std::str::FromStr>(value: &str) -> Result<T, ExitCode> {
-        value.parse().map_err(|_| usage())
-    }
     let mut f = BuildFlags {
         options: BuildOptions {
             force: Mode::Seccomp,
@@ -663,6 +665,42 @@ fn cmd_serve(args: &[String]) -> ExitCode {
     }
 }
 
+/// The flags `push` and `pull` share, from one parser: the required
+/// `--registry ADDR`, `--retry N` and `--timeout SECS`. Returns the
+/// address, a client configured from them, and the positionals; a
+/// missing or unparsable value is the usage error (exit 2).
+fn wire_args(
+    verb: &str,
+    args: &[String],
+) -> Result<(String, RemoteRegistry, Vec<String>), ExitCode> {
+    let mut registry: Option<String> = None;
+    let mut retry: Option<u32> = None;
+    let mut timeout_secs: Option<u64> = None;
+    let mut positional: Vec<String> = Vec::new();
+    let mut it = args.iter();
+    while let Some(a) = it.next() {
+        if !a.starts_with('-') {
+            positional.push(a.clone());
+            continue;
+        }
+        let Some(value) = it.next() else {
+            return Err(usage());
+        };
+        match a.as_str() {
+            "--registry" => registry = Some(value.clone()),
+            "--retry" => retry = Some(number(value)?),
+            "--timeout" => timeout_secs = Some(number(value)?),
+            _ => return Err(usage()),
+        }
+    }
+    let Some(addr) = registry else {
+        eprintln!("error: {verb} needs --registry ADDR");
+        return Err(usage());
+    };
+    let client = wire_client(&addr, retry, timeout_secs);
+    Ok((addr, client, positional))
+}
+
 /// Split `NAME[:TAG]` for the wire verbs (default tag `latest`).
 fn split_reference(reference: &str) -> (String, String) {
     match reference.rsplit_once(':') {
@@ -675,32 +713,9 @@ fn split_reference(reference: &str) -> (String, String) {
 /// Without an explicit reference the layout's own ref annotation is
 /// used, so `export` → `push` needs no retyping.
 fn cmd_push(args: &[String]) -> ExitCode {
-    let mut registry: Option<String> = None;
-    let mut retry: Option<u32> = None;
-    let mut timeout_secs: Option<u64> = None;
-    let mut positional: Vec<String> = Vec::new();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--registry" => match it.next() {
-                Some(addr) => registry = Some(addr.clone()),
-                None => return usage(),
-            },
-            "--retry" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) => retry = Some(n),
-                None => return usage(),
-            },
-            "--timeout" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(secs) => timeout_secs = Some(secs),
-                None => return usage(),
-            },
-            _ if !a.starts_with('-') => positional.push(a.clone()),
-            _ => return usage(),
-        }
-    }
-    let Some(addr) = registry else {
-        eprintln!("error: push needs --registry ADDR");
-        return usage();
+    let (addr, client, positional) = match wire_args("push", args) {
+        Ok(parsed) => parsed,
+        Err(code) => return code,
     };
     let (dir, reference) = match positional.as_slice() {
         [dir] => {
@@ -717,7 +732,6 @@ fn cmd_push(args: &[String]) -> ExitCode {
         _ => return usage(),
     };
     let (name, tag) = split_reference(&reference);
-    let client = wire_client(&addr, retry, timeout_secs);
     match client.push_layout(&dir, &name, &tag) {
         Ok(summary) => {
             println!("pushed {name}:{tag} to {addr}");
@@ -734,38 +748,14 @@ fn cmd_push(args: &[String]) -> ExitCode {
 /// `pull --registry ADDR NAME[:TAG] DIR`: fetch into an OCI layout and
 /// report the materialized image digest.
 fn cmd_pull(args: &[String]) -> ExitCode {
-    let mut registry: Option<String> = None;
-    let mut retry: Option<u32> = None;
-    let mut timeout_secs: Option<u64> = None;
-    let mut positional: Vec<String> = Vec::new();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--registry" => match it.next() {
-                Some(addr) => registry = Some(addr.clone()),
-                None => return usage(),
-            },
-            "--retry" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(n) => retry = Some(n),
-                None => return usage(),
-            },
-            "--timeout" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(secs) => timeout_secs = Some(secs),
-                None => return usage(),
-            },
-            _ if !a.starts_with('-') => positional.push(a.clone()),
-            _ => return usage(),
-        }
-    }
-    let Some(addr) = registry else {
-        eprintln!("error: pull needs --registry ADDR");
-        return usage();
+    let (addr, client, positional) = match wire_args("pull", args) {
+        Ok(parsed) => parsed,
+        Err(code) => return code,
     };
     let [reference, dir] = positional.as_slice() else {
         return usage();
     };
     let (name, tag) = split_reference(reference);
-    let client = wire_client(&addr, retry, timeout_secs);
     match client.pull_layout(&name, &tag, dir) {
         Ok(summary) => {
             print!("{summary}");

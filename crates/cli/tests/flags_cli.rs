@@ -1,7 +1,8 @@
 //! The build verbs' option surface, pinned through the real `zr-image`
 //! binary: every flag `usage()` lists under BUILD FLAGS is accepted by
 //! `build-many`, a flag it does not list is refused, and a context
-//! directory that cannot be read fails before any build starts.
+//! directory that cannot be read fails before any build starts. The
+//! wire verbs (`push`, `pull`) refuse bad flags with the usage exit.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -150,4 +151,36 @@ fn unreadable_context_dir_fails_before_building() {
         assert!(!err.contains("[sched]"), "{argv:?}: no batch ran");
     }
     assert!(!std::path::Path::new(&output).exists(), "nothing exported");
+}
+
+#[test]
+fn wire_verbs_refuse_bad_flags_with_usage() {
+    let scratch = Scratch::new("wire");
+    let dir = scratch.join("layout");
+    for (argv, error) in [
+        (vec!["push", "--retry", "x", &dir], None),
+        (
+            vec![
+                "pull",
+                "--registry",
+                "127.0.0.1:1",
+                "name:tag",
+                &dir,
+                "--timeout",
+            ],
+            None,
+        ),
+        (
+            vec!["push", &dir],
+            Some("error: push needs --registry ADDR\n"),
+        ),
+    ] {
+        let out = run(&argv);
+        let err = stderr(&out);
+        assert_eq!(out.status.code(), Some(2), "{argv:?}; stderr:\n{err}");
+        let usage = err.find("usage: zr-image").expect("usage printed");
+        // The verb's own error line, when it has one, comes first.
+        assert_eq!(&err[..usage], error.unwrap_or(""), "{argv:?}");
+        assert!(out.stdout.is_empty(), "{argv:?}: nothing ran");
+    }
 }

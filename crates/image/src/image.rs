@@ -161,9 +161,10 @@ impl Image {
     /// *memoized* SHA-256 and the tree digest is memoized per content
     /// version, so digesting an image that shares most of its blobs
     /// with an already-digested snapshot hashes only the changed bytes
-    /// (plus an O(paths) metadata walk). [`digest_uncached`]
-    /// (Self::digest_uncached) recomputes the identical value from raw
-    /// bytes; the `P-snap` paper-report gate pins the two equal.
+    /// (plus an O(paths) metadata walk).
+    /// [`digest_uncached`](Self::digest_uncached) recomputes the
+    /// identical value from raw bytes; the `P-snap` paper-report gate
+    /// pins the two equal.
     pub fn digest(&self) -> String {
         self.digest_with(self.fs.tree_digest())
     }

@@ -9,14 +9,12 @@
 //! miss markers, which is where iterative unprivileged builds get their
 //! speed.
 //!
-//! The store is builder-side state (it lives next to [`ImageStore`] in
-//! `zr-build`'s `Builder`), but the *data model* belongs here with the
-//! other image storage types. One [`LayerStore`] is shared by every
-//! worker of a scheduler; a single lock guards its entries, blob
-//! ledger, LRU clock and counters, and is held for map and counter
-//! work only.
-//!
-//! [`ImageStore`]: crate::store::ImageStore
+//! The store is builder-side state (it lives in `zr-build`'s
+//! `Builder`, beside the registry handle), but the *data model* belongs
+//! here with the other image storage types. One [`LayerStore`] is
+//! shared by every worker of a scheduler; a single lock guards its
+//! entries, blob ledger, LRU clock and counters, and is held for map
+//! and counter work only.
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, Mutex, MutexGuard};

@@ -18,7 +18,6 @@
 pub mod image;
 pub mod layer;
 pub mod registry;
-pub mod store;
 
 /// Fixed per-inode overhead (metadata, directory entries) both byte
 /// budgets — the layer store's and the registry blob cache's — charge
@@ -33,4 +32,3 @@ pub use layer::{
 pub use registry::{
     CatalogBackend, PullCost, Registry, RegistryBackend, RegistryStats, ShardedRegistry,
 };
-pub use store::ImageStore;

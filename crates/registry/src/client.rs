@@ -274,8 +274,9 @@ impl RemoteRegistry {
     }
 
     /// How many bytes of upload session `location` the server has
-    /// committed — the offset an interrupted [`push_blob`]
-    /// (or any out-of-band uploader) resumes from.
+    /// committed — the offset an interrupted
+    /// [`push_blob`](Self::push_blob) (or any out-of-band uploader)
+    /// resumes from.
     pub fn upload_offset(&self, location: &str) -> Result<usize> {
         committed_bytes(&self.expect("GET", location, None, &[])?)
     }

@@ -5,7 +5,7 @@
 use std::time::Duration;
 
 use zeroroot_core::Mode;
-use zr_build::{BuildError, BuildOptions, BuildResult, Builder};
+use zr_build::{BuildError, BuildOptions, BuildResult, Builder, CacheMode};
 use zr_image::PullCost;
 use zr_kernel::Kernel;
 use zr_sched::{
@@ -421,6 +421,40 @@ fn scheduler_and_serial_builder_agree_on_every_shape() {
         assert_eq!(scheduled.error, serial.error, "{name}: error");
         assert_eq!(scheduled.cache, serial.cache, "{name}: cache");
         assert_eq!(digest(scheduled), digest(&serial), "{name}: image digest");
+    }
+}
+
+#[test]
+fn a_rebuilt_tag_logs_the_same_lines_serial_and_scheduled() {
+    // The second build of one tag: a warm replay, and a full
+    // re-execution under --no-cache. Neither path keeps per-tag state,
+    // so a rebuild logs exactly what the first build of the tag would.
+    const DF: &str = "FROM alpine:3.19\nRUN echo hi > /x\n";
+    for (cache, hits) in [(CacheMode::Enabled, 2), (CacheMode::Disabled, 0)] {
+        let mut options = BuildOptions::new("t", Mode::Seccomp);
+        options.cache = cache;
+        let mut kernel = Kernel::default_kernel();
+        let mut builder = Builder::new();
+        let serial: Vec<BuildResult> = (0..2)
+            .map(|_| builder.build(&mut kernel, DF, &options))
+            .collect();
+        let sched = scheduler(2);
+        let scheduled: Vec<BuildReport> = (0..2)
+            .map(|_| {
+                let request = BuildRequest::with_options("t", DF, options.clone());
+                sched.build_many(vec![request]).remove(0)
+            })
+            .collect();
+        let (serial, scheduled) = (&serial[1], &scheduled[1].result);
+        assert!(serial.success, "{cache:?}:\n{}", serial.log_text());
+        assert_eq!(serial.cache.hits, hits, "{cache:?}:\n{}", serial.log_text());
+        assert_eq!(scheduled.cache, serial.cache, "{cache:?}: cache");
+        assert_eq!(
+            scheduled.log,
+            serial.log,
+            "{cache:?}: serial log:\n{}",
+            serial.log_text()
+        );
     }
 }
 

@@ -13,9 +13,10 @@
 //!   [`spec::zero_consistency`]: the paper's filter. Fake success is
 //!   `SECCOMP_RET_ERRNO` with `errno = 0` — *do nothing and return
 //!   success*.
-//! * [`compile`] — the spec→cBPF compiler (the Rust analogue of
-//!   Charliecloud's ~150 lines of C): architecture dispatch prologue,
-//!   per-arch syscall matching, and the mknod mode-argument examination.
+//! * [`compile`](mod@compile) — the spec→cBPF compiler (the Rust
+//!   analogue of Charliecloud's ~150 lines of C): architecture dispatch
+//!   prologue, per-arch syscall matching, and the mknod mode-argument
+//!   examination.
 //! * [`check`] — `seccomp_check_filter`-style validation, stricter than
 //!   plain BPF validation (word loads only, in-bounds `seccomp_data`
 //!   offsets).

@@ -22,13 +22,12 @@
 //! else is trusted until its digest says otherwise (every `get`
 //! re-verifies).
 //!
-//! Large blobs (≥ [`CHUNK_THRESHOLD`](crate::chunk::CHUNK_THRESHOLD))
-//! are stored *chunked*: content-defined spans become ordinary blob
-//! objects and a small index record under `chunks/` maps the logical
-//! digest to its chunk sequence. Reads reassemble and verify the whole
-//! logical content, so chunking is invisible above this module — but an
-//! appended log or edited archive re-stores only the chunks that
-//! changed.
+//! Large blobs (≥ [`CHUNK_THRESHOLD`]) are stored *chunked*:
+//! content-defined spans become ordinary blob objects and a small index
+//! record under `chunks/` maps the logical digest to its chunk
+//! sequence. Reads reassemble and verify the whole logical content, so
+//! chunking is invisible above this module — but an appended log or
+//! edited archive re-stores only the chunks that changed.
 //!
 //! Every write takes one path, [`CasBatch::commit`]: [`Cas::put`],
 //! [`Cas::put_blob`], [`Cas::pin_with_deps`] and [`Cas::set_budget`]

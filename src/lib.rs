@@ -69,7 +69,7 @@ pub use zr_sched::{BuildReport, BuildRequest, Scheduler, SchedulerConfig};
 pub struct Session {
     /// The simulated kernel.
     pub kernel: Kernel,
-    /// The image builder (store + registry).
+    /// The image builder (registry + layer cache).
     pub builder: Builder,
 }
 
@@ -81,7 +81,7 @@ impl Default for Session {
 
 impl Session {
     /// A fresh session: default kernel (unprivileged user uid 1000),
-    /// empty image store.
+    /// a builder with an empty registry cache and layer cache.
     pub fn new() -> Session {
         Session {
             kernel: Kernel::default_kernel(),
