@@ -1,9 +1,10 @@
 #!/bin/sh
 # End-to-end wire check over the real CLI binary: build → export →
 # serve → push → pull on loopback, then compare the materialized image
-# digests on both sides. This is the cross-process version of the
-# W-wire gate — same protocol, but through `zr-image` subprocesses and
-# an OS-assigned port instead of in-process handles.
+# digests on both sides and audit the two layouts blob by blob. This
+# is the cross-process version of the W-wire gate — same protocol, but
+# through `zr-image` subprocesses and an OS-assigned port instead of
+# in-process handles.
 set -eu
 
 ZR=${ZR:-target/release/zr-image}
@@ -52,3 +53,9 @@ if [ -z "$exported" ] || [ "$exported" != "$pulled" ]; then
     exit 1
 fi
 echo "wire-e2e: push/pull round-trip digest-identical ($exported)"
+
+# 5. The pulled layout must be the exported one blob for blob: the
+#    audit differ reads every blob of both layouts through the one
+#    verifying layout reader and exits 2 on any divergence.
+"$ZR" audit --layouts "$WORK/layout" "$WORK/pulled" --expect-clean
+echo "wire-e2e: pulled layout audits clean against the exported one"

@@ -8,14 +8,19 @@
 //! field. Derivative divergence is suppressed: when layers differ,
 //! the config's `rootfs.diff_ids` necessarily differ too, and
 //! repeating that tells the user nothing.
+//!
+//! Layouts are read only through `zr_store`'s reader: a digest that
+//! is not hex is refused where the manifest is parsed, and every blob
+//! the manifests name is verified as it is read, so a tampered blob is
+//! an error, never a divergence.
 
 use std::collections::BTreeSet;
 use std::path::Path;
 
 use zr_store::json::Json;
-use zr_store::{inspect, list_entries, TarEntryView};
+use zr_store::{inspect, list_entries, read_layout_blob, TarEntry};
 
-use crate::harness::{AuditError, Result};
+use crate::harness::{AuditError, AuditOutcome, Result};
 
 /// The divergence taxonomy — every way two layouts of "the same" image
 /// have been observed to differ, per the paper's §6 survey of
@@ -85,14 +90,18 @@ impl std::fmt::Display for Divergence {
     }
 }
 
-fn read_blob(dir: &Path, digest: &str) -> Result<Vec<u8>> {
-    Ok(std::fs::read(dir.join("blobs/sha256").join(digest)).map_err(zr_store::StoreError::from)?)
-}
-
 /// Diff two OCI image layouts and classify every divergence. An empty
 /// result is the audit's "clean" verdict: the layouts are byte-for-byte
 /// identical in every blob the manifests reference.
 pub fn diff_layouts(dir_a: &Path, dir_b: &Path) -> Result<Vec<Divergence>> {
+    Ok(audit_layouts(dir_a, dir_b)?.divergences)
+}
+
+/// Inspect two OCI image layouts and classify every divergence: the
+/// one constructor of an [`AuditOutcome`], for built arms and for
+/// layouts already on disk alike. Every config and layer blob is read,
+/// and so verified, even where both manifests name the same digest.
+pub fn audit_layouts(dir_a: &Path, dir_b: &Path) -> Result<AuditOutcome> {
     let sa = inspect(dir_a)?;
     let sb = inspect(dir_b)?;
     let mut out = Vec::new();
@@ -114,21 +123,31 @@ pub fn diff_layouts(dir_a: &Path, dir_b: &Path) -> Result<Vec<Divergence>> {
         });
     }
     for (i, (da, db)) in sa.layer_digests.iter().zip(&sb.layer_digests).enumerate() {
-        if da == db {
-            continue;
+        let (tar_a, tar_b) = (read_layout_blob(dir_a, da)?, read_layout_blob(dir_b, db)?);
+        if da != db {
+            layers_differ = true;
+            diff_layer(i, &tar_a, &tar_b, &mut out)?;
         }
-        layers_differ = true;
-        diff_layer(i, &read_blob(dir_a, da)?, &read_blob(dir_b, db)?, &mut out)?;
     }
+    // Layers only one arm has are read too, so they are verified.
+    for digest in sa.layer_digests.iter().skip(sb.layer_digests.len()) {
+        read_layout_blob(dir_a, digest)?;
+    }
+    for digest in sb.layer_digests.iter().skip(sa.layer_digests.len()) {
+        read_layout_blob(dir_b, digest)?;
+    }
+    let config_a = read_layout_blob(dir_a, &sa.config_digest)?;
+    let config_b = read_layout_blob(dir_b, &sb.config_digest)?;
     if sa.config_digest != sb.config_digest {
-        diff_config(
-            &read_blob(dir_a, &sa.config_digest)?,
-            &read_blob(dir_b, &sb.config_digest)?,
-            layers_differ,
-            &mut out,
-        )?;
+        diff_config(&config_a, &config_b, layers_differ, &mut out)?;
     }
-    Ok(out)
+    Ok(AuditOutcome {
+        summary_a: sa,
+        summary_b: sb,
+        dir_a: dir_a.to_path_buf(),
+        dir_b: dir_b.to_path_buf(),
+        divergences: out,
+    })
 }
 
 /// Are two JSON values semantically equal? Objects compare as maps
@@ -269,7 +288,7 @@ fn diff_layer(index: usize, tar_a: &[u8], tar_b: &[u8], out: &mut Vec<Divergence
         });
     }
 
-    let find = |entries: &'_ [TarEntryView], path: &str| -> usize {
+    let find = |entries: &'_ [TarEntry], path: &str| -> usize {
         entries
             .iter()
             .position(|e| e.path == path)

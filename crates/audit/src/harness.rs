@@ -15,7 +15,7 @@ use zr_sched::{BuildRequest, Scheduler, SchedulerConfig};
 use zr_store::{export_with, ExportOpts, OciSummary, StoreError};
 use zr_vfs::Nondeterminism;
 
-use crate::diff::{diff_layouts, Divergence};
+use crate::diff::{audit_layouts, Divergence};
 
 /// Audit-level errors: the store's I/O/corruption errors plus build
 /// failures and diagnosis failures of the audit's own making.
@@ -68,6 +68,7 @@ pub struct ArmSpec {
 
 /// What an audit produced: both layouts on disk, their summaries, and
 /// every classified divergence (empty = the bit-for-bit claim held).
+/// Built only by [`audit_layouts`](crate::audit_layouts).
 #[derive(Debug)]
 pub struct AuditOutcome {
     /// Arm A's layout summary.
@@ -91,7 +92,7 @@ impl AuditOutcome {
 
 /// Build one arm: construct the builder per `spec`, run `dockerfile`,
 /// export the result at `dir`.
-fn build_arm(dockerfile: &str, spec: &ArmSpec, dir: &Path) -> Result<OciSummary> {
+fn build_arm(dockerfile: &str, spec: &ArmSpec, dir: &Path) -> Result<()> {
     let image = if spec.jobs <= 1 {
         let config = KernelConfig {
             nondet: spec.nondet.clone(),
@@ -130,7 +131,8 @@ fn build_arm(dockerfile: &str, spec: &ArmSpec, dir: &Path) -> Result<OciSummary>
             .image
             .expect("successful build carries an image")
     };
-    Ok(export_with(&image, dir, spec.export)?)
+    export_with(&image, dir, spec.export)?;
+    Ok(())
 }
 
 fn audit_options() -> BuildOptions {
@@ -148,14 +150,7 @@ pub fn audit_build(
 ) -> Result<AuditOutcome> {
     let dir_a = out_dir.join("arm-a");
     let dir_b = out_dir.join("arm-b");
-    let summary_a = build_arm(dockerfile, a, &dir_a)?;
-    let summary_b = build_arm(dockerfile, b, &dir_b)?;
-    let divergences = diff_layouts(&dir_a, &dir_b)?;
-    Ok(AuditOutcome {
-        summary_a,
-        summary_b,
-        dir_a,
-        dir_b,
-        divergences,
-    })
+    build_arm(dockerfile, a, &dir_a)?;
+    build_arm(dockerfile, b, &dir_b)?;
+    audit_layouts(&dir_a, &dir_b)
 }

@@ -9,11 +9,13 @@
 //!   constructed builders (fresh kernel, fresh caches — nothing shared
 //!   that could mask divergence), exports both arms as OCI image
 //!   layouts, and hands them to the differ.
-//! * [`diff_layouts`] compares two layouts blob-by-blob and classifies
-//!   every byte-level divergence into the [`DivergenceClass`] taxonomy
-//!   — tar mtimes, entry ordering, ownership/mode, JSON key order,
-//!   layer count, payload content with path-level drill-down — rather
-//!   than reporting an opaque digest mismatch.
+//! * [`audit_layouts`] (and [`diff_layouts`], its divergence list)
+//!   compares two layouts blob-by-blob and classifies every byte-level
+//!   divergence into the [`DivergenceClass`] taxonomy — tar mtimes,
+//!   entry ordering, ownership/mode, JSON key order, layer count,
+//!   payload content with path-level drill-down — rather than
+//!   reporting an opaque digest mismatch. Every blob is read through
+//!   `zr_store::read_layout_blob`, so it is verified on the way.
 //! * [`render_human`] / [`render_json`] turn an [`AuditOutcome`] into
 //!   a terminal report or machine-readable JSON (`zr audit --json`).
 //!
@@ -33,6 +35,6 @@ mod diff;
 mod harness;
 mod report;
 
-pub use diff::{diff_layouts, Divergence, DivergenceClass};
+pub use diff::{audit_layouts, diff_layouts, Divergence, DivergenceClass};
 pub use harness::{audit_build, ArmSpec, AuditError, AuditOutcome, Result};
 pub use report::{render_human, render_json};

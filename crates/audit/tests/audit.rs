@@ -295,6 +295,39 @@ fn entry_presence_is_classified_with_the_path() {
 }
 
 #[test]
+fn a_layer_digest_pointing_outside_the_layouts_is_refused() {
+    // Arm B's re-hashed manifest names a valid layer tar that lies
+    // outside both layouts: the differ must refuse the digest, not
+    // read that file and diff its entries as arm B's layer.
+    let scratch = Scratch::new("outside");
+    let (dir_a, dir_b) = (scratch.path().join("arm-a"), scratch.path().join("arm-b"));
+    export(&tiny_image(None), &dir_a).unwrap();
+    let summary = export(&tiny_image(None), &dir_b).unwrap();
+    let other = scratch.path().join("other");
+    let outside = export(&tiny_image(Some("/etc/secret-outside-file")), &other).unwrap();
+    std::fs::copy(
+        other.join(format!("blobs/sha256/{}", outside.layer_digests[0])),
+        scratch.path().join("outside.tar"),
+    )
+    .unwrap();
+    std::fs::remove_dir_all(&other).unwrap();
+
+    let blob = |digest: &str| dir_b.join(format!("blobs/sha256/{digest}"));
+    let manifest = std::fs::read_to_string(blob(&summary.manifest_digest))
+        .unwrap()
+        .replace(&summary.layer_digests[0], "../../../outside.tar");
+    let manifest_digest = zr_store::Blob::new(manifest.clone().into_bytes()).sha_hex();
+    std::fs::write(blob(&manifest_digest), &manifest).unwrap();
+    let index = std::fs::read_to_string(dir_b.join("index.json"))
+        .unwrap()
+        .replace(&summary.manifest_digest, &manifest_digest);
+    std::fs::write(dir_b.join("index.json"), index).unwrap();
+
+    let err = diff_layouts(&dir_a, &dir_b).expect_err("a traversal digest is an error");
+    assert!(err.to_string().contains("malformed digest"), "{err}");
+}
+
+#[test]
 fn naive_export_of_the_same_build_is_still_clean() {
     // The naive packer is deterministic too: both arms raw → clean.
     // (Detection tests above diverge because the *inputs* differ, not

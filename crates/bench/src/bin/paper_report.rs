@@ -16,6 +16,7 @@ use zr_bench::{
 };
 use zr_build::CacheMode;
 use zr_sched::{BuildStatus, Scheduler, SchedulerConfig};
+use zr_store::json::escape;
 use zr_syscalls::filtered::{filtered_on, FILTERED};
 use zr_syscalls::Arch;
 
@@ -26,22 +27,6 @@ struct Check {
     pass: bool,
 }
 
-/// Minimal JSON string escaping (quotes, backslashes, control chars).
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Render the report as machine-readable JSON (no serde offline; the
 /// structure is flat enough to write by hand).
 fn render_json(checks: &[Check], metrics: &[(String, f64)]) -> String {
@@ -49,10 +34,10 @@ fn render_json(checks: &[Check], metrics: &[(String, f64)]) -> String {
     for (i, c) in checks.iter().enumerate() {
         out.push_str(&format!(
             "    {{\"id\": \"{}\", \"pass\": {}, \"paper\": \"{}\", \"measured\": \"{}\"}}{}\n",
-            json_escape(c.id),
+            escape(c.id),
             c.pass,
-            json_escape(c.paper),
-            json_escape(&c.measured),
+            escape(c.paper),
+            escape(&c.measured),
             if i + 1 == checks.len() { "" } else { "," }
         ));
     }
@@ -60,7 +45,7 @@ fn render_json(checks: &[Check], metrics: &[(String, f64)]) -> String {
     for (i, (name, value)) in metrics.iter().enumerate() {
         out.push_str(&format!(
             "    \"{}\": {}{}\n",
-            json_escape(name),
+            escape(name),
             if value.is_finite() {
                 format!("{value}")
             } else {

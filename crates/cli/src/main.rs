@@ -450,7 +450,7 @@ fn read_dockerfile(file: Option<&str>) -> Result<String, ExitCode> {
 /// `--expect-clean`: the audit itself succeeded and the report is the
 /// product), 2 for a divergent audit under `--expect-clean`, 1 on error.
 fn cmd_audit(args: &[String]) -> ExitCode {
-    use zr_audit::{audit_build, diff_layouts, ArmSpec, AuditOutcome};
+    use zr_audit::{audit_build, audit_layouts, ArmSpec};
     use zr_store::{ExportOpts, TarOpts};
     use zr_vfs::Nondeterminism;
 
@@ -528,36 +528,8 @@ fn cmd_audit(args: &[String]) -> ExitCode {
     }
 
     // Diff-only mode: two layouts already on disk, no builds.
-    let outcome = if let Some((dir_a, dir_b)) = layouts {
-        let summarize = |dir: &str| {
-            zr_store::inspect(dir).map_err(|e| {
-                eprintln!("error: audit {dir}: {e}");
-                ExitCode::FAILURE
-            })
-        };
-        let summary_a = match summarize(&dir_a) {
-            Ok(s) => s,
-            Err(code) => return code,
-        };
-        let summary_b = match summarize(&dir_b) {
-            Ok(s) => s,
-            Err(code) => return code,
-        };
-        let dir_a = std::path::PathBuf::from(dir_a);
-        let dir_b = std::path::PathBuf::from(dir_b);
-        match diff_layouts(&dir_a, &dir_b) {
-            Ok(divergences) => AuditOutcome {
-                summary_a,
-                summary_b,
-                dir_a,
-                dir_b,
-                divergences,
-            },
-            Err(e) => {
-                eprintln!("error: audit: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
+    let result = if let Some((dir_a, dir_b)) = layouts {
+        audit_layouts(Path::new(&dir_a), Path::new(&dir_b))
     } else {
         let dockerfile = match read_dockerfile(file.as_deref()) {
             Ok(text) => text,
@@ -593,12 +565,13 @@ fn cmd_audit(args: &[String]) -> ExitCode {
         if scratch {
             let _ = std::fs::remove_dir_all(&out_dir);
         }
-        match result {
-            Ok(outcome) => outcome,
-            Err(e) => {
-                eprintln!("error: audit: {e}");
-                return ExitCode::FAILURE;
-            }
+        result
+    };
+    let outcome = match result {
+        Ok(outcome) => outcome,
+        Err(e) => {
+            eprintln!("error: audit: {e}");
+            return ExitCode::FAILURE;
         }
     };
 

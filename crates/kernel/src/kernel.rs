@@ -280,7 +280,15 @@ impl Kernel {
             self.preload_hook = Some(hook);
             if let HookVerdict::Emulated(result) = verdict {
                 self.counters.preload_hops += 1;
-                self.record(pid, &call, Disposition::Emulated, 0);
+                let (sysno, args) = encode(self.process(pid).arch, &call);
+                self.trace.record(Record {
+                    pid,
+                    sysno,
+                    args,
+                    disposition: Disposition::Emulated,
+                    filter_steps: 0,
+                    note: note_for(&call),
+                });
                 return result;
             }
         }
@@ -321,23 +329,42 @@ impl Kernel {
         self.counters.filter_evaluations += stack_len;
         self.counters.bpf_instructions += steps;
 
+        // The call's one trace record; each exit below sets its
+        // disposition and appends it.
+        let record = Record {
+            pid,
+            sysno,
+            args,
+            disposition: Disposition::Executed,
+            filter_steps: steps,
+            note: note_for(&call),
+        };
         match action {
             Action::Allow | Action::Log => {}
             Action::Errno(0) => {
                 self.counters.faked += 1;
                 self.on_faked(pid, &call);
-                self.record_sys(pid, sysno, &call, Disposition::FakedByFilter, steps);
+                self.trace.record(Record {
+                    disposition: Disposition::FakedByFilter,
+                    ..record
+                });
                 return Ok(fake_success_ret(&call));
             }
             Action::Errno(e) => {
                 self.counters.denied += 1;
                 let errno = errno_from_raw(e);
-                self.record_sys(pid, sysno, &call, Disposition::DeniedByFilter(errno), steps);
+                self.trace.record(Record {
+                    disposition: Disposition::DeniedByFilter(errno),
+                    ..record
+                });
                 return Err(errno.into());
             }
             Action::KillProcess | Action::KillThread | Action::Trap(_) => {
                 self.process_mut(pid).alive = false;
-                self.record_sys(pid, sysno, &call, Disposition::KilledByFilter, steps);
+                self.trace.record(Record {
+                    disposition: Disposition::KilledByFilter,
+                    ..record
+                });
                 return Err(SysError::Killed);
             }
             Action::Trace(_) | Action::UserNotif => {
@@ -345,7 +372,10 @@ impl Kernel {
                 // tracer hook below; reaching here without one installed
                 // behaves like ENOSYS (kernel with no tracer attached).
                 if self.tracer_hook.is_none() {
-                    self.record_sys(pid, sysno, &call, Disposition::Failed(Errno::ENOSYS), steps);
+                    self.trace.record(Record {
+                        disposition: Disposition::Failed(Errno::ENOSYS),
+                        ..record
+                    });
                     return Err(Errno::ENOSYS.into());
                 }
             }
@@ -357,37 +387,26 @@ impl Kernel {
             let verdict = hook.on_syscall(self, pid, &call);
             self.tracer_hook = Some(hook);
             if let HookVerdict::Emulated(result) = verdict {
-                self.record_sys(pid, sysno, &call, Disposition::Emulated, steps);
+                self.trace.record(Record {
+                    disposition: Disposition::Emulated,
+                    ..record
+                });
                 return result;
             }
         }
 
         // 5. Execute.
-        let result = self.execute(pid, call.clone());
-        let disp = match &result {
+        let result = self.execute(pid, call);
+        let disposition = match &result {
             Ok(_) => Disposition::Executed,
             Err(SysError::Errno(e)) => Disposition::Failed(*e),
             Err(SysError::Killed) => Disposition::KilledByFilter,
         };
-        self.record_sys(pid, sysno, &call, disp, steps);
-        result
-    }
-
-    fn record(&self, pid: Pid, call: &SysCall, disp: Disposition, steps: u64) {
-        let (sysno, _) = encode(self.process(pid).arch, call);
-        self.record_sys(pid, sysno, call, disp, steps);
-    }
-
-    fn record_sys(&self, pid: Pid, sysno: Sysno, call: &SysCall, disp: Disposition, steps: u64) {
-        let (_, args) = encode(self.process(pid).arch, call);
         self.trace.record(Record {
-            pid,
-            sysno,
-            args,
-            disposition: disp,
-            filter_steps: steps,
-            note: note_for(call),
+            disposition,
+            ..record
         });
+        result
     }
 
     /// Track faked set*id calls for the id-consistency extension.

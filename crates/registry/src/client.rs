@@ -302,16 +302,20 @@ impl RemoteRegistry {
 
     /// Push an on-disk OCI layout (a `zr export` output) to the
     /// endpoint under `name:tag`: config and layer blobs first (each
-    /// digest-checked on read *and* by the server on receipt), the
-    /// manifest last, so the reference only appears once everything it
-    /// needs is present.
+    /// verified once by `zr_store::read_layout_blob` and pushed under
+    /// the manifest's digest; the server verifies again on receipt),
+    /// the manifest last, so the reference only appears once
+    /// everything it needs is present.
     pub fn push_layout(&self, dir: impl AsRef<Path>, name: &str, tag: &str) -> Result<OciSummary> {
         let dir = dir.as_ref();
         let summary = zr_store::inspect(dir)?;
         for digest in summary.layer_digests.iter().chain([&summary.config_digest]) {
-            self.push_blob(name, &read_layout_blob(dir, digest)?)?;
+            let data = zr_store::read_layout_blob(dir, digest)?;
+            self.retry.run(RegistryError::transient, |_| {
+                self.push_blob_once(name, &data, digest)
+            })?;
         }
-        let manifest = read_layout_blob(dir, &summary.manifest_digest)?;
+        let manifest = zr_store::read_layout_blob(dir, &summary.manifest_digest)?;
         self.put_manifest(name, tag, &manifest)?;
         Ok(summary)
     }
@@ -346,18 +350,6 @@ fn wire_to_store(e: RegistryError) -> StoreError {
         RegistryError::Store(e) => e,
         other => StoreError::corrupt(format!("wire: {other}")),
     }
-}
-
-/// Read one blob file out of an OCI layout, verifying it against its
-/// file-name digest before it goes anywhere near the wire.
-fn read_layout_blob(dir: &Path, digest: &str) -> Result<Vec<u8>> {
-    let data = std::fs::read(dir.join("blobs/sha256").join(digest))?;
-    if hex(&Sha256::digest(&data)) != digest {
-        return Err(RegistryError::Store(StoreError::corrupt(format!(
-            "layout blob {digest} fails verification"
-        ))));
-    }
-    Ok(data)
 }
 
 /// A [`RegistryBackend`] that resolves `FROM` references against a

@@ -64,6 +64,44 @@ fn push_pull_roundtrip_is_byte_identical() {
 }
 
 #[test]
+fn a_layout_whose_layer_digest_walks_outside_it_is_not_pushed() {
+    // The re-hashed manifest names a layer blob outside the layout
+    // directory; the push must refuse the digest before reading that
+    // file, let alone uploading it.
+    let scratch = Scratch::new("outside");
+    let server = loopback(&scratch);
+    let layout = exported_alpine(&scratch);
+    let summary = zr_store::inspect(&layout).expect("inspect layout");
+    let blob = |digest: &str| layout.join(format!("blobs/sha256/{digest}"));
+    std::fs::copy(blob(&summary.layer_digests[0]), scratch.join("outside.tar"))
+        .expect("place the outside file");
+    let manifest = std::fs::read_to_string(blob(&summary.manifest_digest))
+        .expect("read manifest")
+        .replace(&summary.layer_digests[0], "../../../outside.tar");
+    let manifest_digest = hex(&Sha256::digest(manifest.as_bytes()));
+    std::fs::write(blob(&manifest_digest), &manifest).expect("store crafted manifest");
+    let index = std::fs::read_to_string(layout.join("index.json"))
+        .expect("read index")
+        .replace(&summary.manifest_digest, &manifest_digest);
+    std::fs::write(layout.join("index.json"), index).expect("rewrite index");
+
+    let client = RemoteRegistry::new(server.addr().to_string());
+    let err = client
+        .push_layout(&layout, "alpine", "outside")
+        .expect_err("a traversal digest is refused");
+    assert!(err.to_string().contains("malformed digest"), "{err}");
+    assert_eq!(
+        client
+            .manifest("alpine", "outside")
+            .map(|_| ())
+            .unwrap_err()
+            .status(),
+        Some(404),
+        "nothing was tagged"
+    );
+}
+
+#[test]
 fn a_second_push_is_idempotent_and_a_repush_replaces_the_tag() {
     let scratch = Scratch::new("repush");
     let server = loopback(&scratch);

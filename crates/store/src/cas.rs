@@ -71,10 +71,8 @@ use crate::error::{Result, StoreError};
 /// The store format version written to `<root>/format`.
 pub const FORMAT: &str = "zr-store-v1\n";
 
-/// Pin record, original form: digests only.
-const ROOTS_MAGIC_V1: &str = "zr-roots-v1";
 /// Pin record with an LRU sequence number and root dependencies.
-const ROOTS_MAGIC_V2: &str = "zr-roots-v2";
+const ROOTS_MAGIC: &str = "zr-roots-v2";
 /// Chunk-index record: logical length plus (chunk digest, length) pairs.
 const CHUNKS_MAGIC: &str = "zr-chunks-v1";
 
@@ -1392,7 +1390,7 @@ fn release_ref(refs: &mut HashMap<String, u64>, digest: &str) {
 }
 
 fn encode_root(seq: u64, deps: &[String], digests: &[String]) -> Vec<u8> {
-    let mut enc = Enc::new(ROOTS_MAGIC_V2);
+    let mut enc = Enc::new(ROOTS_MAGIC);
     enc.u64(seq);
     enc.u64(deps.len() as u64);
     for dep in deps {
@@ -1405,34 +1403,22 @@ fn encode_root(seq: u64, deps: &[String], digests: &[String]) -> Vec<u8> {
     enc.finish()
 }
 
-/// Decode a pin record, speaking both the current (seq + deps) and the
-/// original (digests-only) form — stores written by earlier builds
-/// open cleanly, their roots simply all look equally old.
+/// Decode a pin record (seq + deps + digests). Only the current magic
+/// is accepted: a record in any other form reads as corrupt, and
+/// [`Cas::open`] quarantines it and counts it in
+/// [`CasStats::corrupt_roots`].
 fn decode_root(bytes: &[u8]) -> Result<RootMeta> {
-    if let Ok(mut dec) = Dec::new(bytes, ROOTS_MAGIC_V2) {
-        let seq = dec.u64()?;
-        let dep_count = dec.u64()?;
-        let mut deps = Vec::new();
-        for _ in 0..dep_count {
-            let dep = dec.str()?;
-            if !valid_name(&dep) {
-                return Err(StoreError::corrupt(format!("bad dep root name {dep:?}")));
-            }
-            deps.push(dep);
+    let mut dec = Dec::new(bytes, ROOTS_MAGIC)?;
+    let seq = dec.u64()?;
+    let dep_count = dec.u64()?;
+    let mut deps = Vec::new();
+    for _ in 0..dep_count {
+        let dep = dec.str()?;
+        if !valid_name(&dep) {
+            return Err(StoreError::corrupt(format!("bad dep root name {dep:?}")));
         }
-        let count = dec.u64()?;
-        let mut digests = Vec::new();
-        for _ in 0..count {
-            let d = dec.str()?;
-            if !valid_digest(&d) {
-                return Err(StoreError::corrupt(format!("bad pinned digest {d:?}")));
-            }
-            digests.push(d);
-        }
-        dec.done()?;
-        return Ok(RootMeta { seq, deps, digests });
+        deps.push(dep);
     }
-    let mut dec = Dec::new(bytes, ROOTS_MAGIC_V1)?;
     let count = dec.u64()?;
     let mut digests = Vec::new();
     for _ in 0..count {
@@ -1443,11 +1429,7 @@ fn decode_root(bytes: &[u8]) -> Result<RootMeta> {
         digests.push(d);
     }
     dec.done()?;
-    Ok(RootMeta {
-        seq: 0,
-        deps: Vec::new(),
-        digests,
-    })
+    Ok(RootMeta { seq, deps, digests })
 }
 
 /// Encode the store config record: just the byte budget today; the

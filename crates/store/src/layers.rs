@@ -49,10 +49,8 @@ use crate::tree::{
     walk_order, TreeEntry,
 };
 
-/// Original layer record: full tree digest only.
-const LAYER_MAGIC_V1: &str = "zr-layer-rec-v1";
-/// Current layer record: tagged full/delta tree reference.
-const LAYER_MAGIC_V2: &str = "zr-layer-rec-v2";
+/// Layer record: tagged full/delta tree reference.
+const LAYER_MAGIC: &str = "zr-layer-rec-v2";
 /// Delta blob: entry-level diff against the parent's tree record.
 const DELTA_MAGIC: &str = "zr-tree-delta-v1";
 
@@ -590,7 +588,7 @@ struct DeltaParts {
 }
 
 fn encode_layer_record(layer: &Layer, tree_ref: &TreeRef) -> Vec<u8> {
-    let mut enc = Enc::new(LAYER_MAGIC_V2);
+    let mut enc = Enc::new(LAYER_MAGIC);
     enc.str(layer.id.as_hex());
     match &layer.parent {
         Some(parent) => {
@@ -644,13 +642,11 @@ fn encode_layer_record(layer: &Layer, tree_ref: &TreeRef) -> Vec<u8> {
     enc.finish()
 }
 
+/// Decode a layer record. Only the current magic is accepted: a record
+/// in any other form reads as corrupt, which the load path absorbs as
+/// a cache miss and heals by re-persisting the layer.
 fn decode_layer_record(bytes: &[u8], key: &CacheKey) -> Result<RecordParts> {
-    // Current records first; stores written by earlier builds still
-    // open (their records are all full references).
-    let (mut dec, v2) = match Dec::new(bytes, LAYER_MAGIC_V2) {
-        Ok(dec) => (dec, true),
-        Err(_) => (Dec::new(bytes, LAYER_MAGIC_V1)?, false),
-    };
+    let mut dec = Dec::new(bytes, LAYER_MAGIC)?;
     let id_hex = dec.str()?;
     let id = CacheKey::from_hex(&id_hex)
         .ok_or_else(|| StoreError::corrupt(format!("bad layer key {id_hex:?}")))?;
@@ -709,28 +705,22 @@ fn decode_layer_record(bytes: &[u8], key: &CacheKey) -> Result<RecordParts> {
             return Err(StoreError::corrupt(format!("bad stage tag {other}")));
         }
     };
-    let tree_ref = if v2 {
-        match dec.u8()? {
-            0 => TreeRef::Full {
-                digest: expect_digest(dec.str()?)?,
-            },
-            1 => {
-                let delta_digest = expect_digest(dec.str()?)?;
-                let depth = dec.u64()?;
-                let full_digest = expect_digest(dec.str()?)?;
-                TreeRef::Delta {
-                    delta_digest,
-                    depth,
-                    full_digest,
-                }
-            }
-            other => {
-                return Err(StoreError::corrupt(format!("bad tree-ref tag {other}")));
+    let tree_ref = match dec.u8()? {
+        0 => TreeRef::Full {
+            digest: expect_digest(dec.str()?)?,
+        },
+        1 => {
+            let delta_digest = expect_digest(dec.str()?)?;
+            let depth = dec.u64()?;
+            let full_digest = expect_digest(dec.str()?)?;
+            TreeRef::Delta {
+                delta_digest,
+                depth,
+                full_digest,
             }
         }
-    } else {
-        TreeRef::Full {
-            digest: expect_digest(dec.str()?)?,
+        other => {
+            return Err(StoreError::corrupt(format!("bad tree-ref tag {other}")));
         }
     };
     dec.done()?;

@@ -42,10 +42,10 @@ pub use chunk::{chunk_spans, CHUNK_THRESHOLD, MAX_CHUNK, MIN_CHUNK};
 pub use error::{Result, StoreError};
 pub use layers::{open_layer_store, DiskLayerStats, DiskLayers, MAX_DELTA_DEPTH};
 pub use oci::{
-    assemble, export, export_diff, export_with, import, inspect, parse_manifest, write_layout,
-    ExportOpts, OciSummary,
+    assemble, export, export_diff, export_with, import, inspect, parse_manifest, read_layout_blob,
+    write_layout, ExportOpts, OciSummary,
 };
-pub use tar::{list_entries, TarEntryView, TarOpts};
+pub use tar::{list_entries, TarEntry, TarOpts};
 /// The shared payload type [`Cas::put_blob`] and [`CasBatch::put_blob`]
 /// stage without copying (re-exported so writers need no `zr-vfs`
 /// dependency of their own).

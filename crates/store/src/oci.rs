@@ -15,6 +15,14 @@
 //! `Image::digest` is byte-identical across an export/import round
 //! trip, which is what the `O-oci` paper-report gate pins.
 //!
+//! This module is the only reader of a layout. Every digest is checked
+//! once, where a manifest is parsed ([`parse_manifest`], [`inspect`]):
+//! a name that is not 64 lowercase hex is refused there, so every
+//! [`OciSummary`] holds valid digests only. Every blob is verified
+//! once, by the reader at the boundary it crosses:
+//! [`read_layout_blob`] for a layout on disk, the registry client's
+//! fetch for the wire.
+//!
 //! JSON field order is fixed by the writer (canonical), and the image
 //! metadata the simulator needs beyond OCI's schema rides in a
 //! `zeroroot` extension object inside the config.
@@ -27,7 +35,7 @@ use zr_digest::{hex, Sha256};
 use zr_image::{BinarySpec, Distro, Image, ImageMeta};
 use zr_vfs::fs::Fs;
 
-use crate::cas::atomic_write;
+use crate::cas::{atomic_write, valid_digest};
 use crate::error::{Result, StoreError};
 use crate::json::{escape, Json};
 use crate::meta::{
@@ -99,13 +107,21 @@ impl<'a> LayoutWriter<'a> {
         Ok(())
     }
 
+    /// Hash freshly produced `data` and store it under its digest.
     fn put_blob(&self, data: &[u8]) -> Result<String> {
         let digest = hex(&Sha256::digest(data));
-        let path = self.dir.join("blobs/sha256").join(&digest);
+        self.put_verified(&digest, data)?;
+        Ok(digest)
+    }
+
+    /// Store `data` under `digest`, which the caller has already
+    /// validated and verified `data` against.
+    fn put_verified(&self, digest: &str, data: &[u8]) -> Result<()> {
+        let path = self.dir.join("blobs/sha256").join(digest);
         if !path.exists() {
             self.write(&path, data)?;
         }
-        Ok(digest)
+        Ok(())
     }
 
     fn finish(self) {
@@ -289,11 +305,12 @@ pub fn export_diff(image: &Image, base: &Fs, dir: impl AsRef<Path>) -> Result<Oc
     )
 }
 
-/// Read and digest-verify one layout blob. The digest doubles as the
-/// file name, so it is validated *before* the path join — a crafted
-/// index.json cannot walk out of the layout directory.
-fn read_blob(dir: &Path, digest: &str) -> Result<Vec<u8>> {
-    if !crate::cas::valid_digest(digest) {
+/// Read one blob out of the OCI layout at `dir` and verify it against
+/// `digest` (bare hex) — the one reader of layout blobs. The digest
+/// doubles as the file name, so it is validated *before* the path join:
+/// a crafted manifest cannot walk out of the layout directory.
+pub fn read_layout_blob(dir: &Path, digest: &str) -> Result<Vec<u8>> {
+    if !valid_digest(digest) {
         return Err(StoreError::corrupt(format!(
             "layout references malformed digest {digest:?}"
         )));
@@ -307,49 +324,33 @@ fn read_blob(dir: &Path, digest: &str) -> Result<Vec<u8>> {
     Ok(data)
 }
 
+/// A descriptor's `sha256:` digest as bare hex, refused unless it is
+/// 64 lowercase hex characters.
 fn bare_digest(descriptor: &Json, what: &str) -> Result<String> {
     let digest = descriptor
         .get("digest")
         .and_then(Json::as_str)
         .and_then(|d| d.strip_prefix("sha256:"))
         .ok_or_else(|| StoreError::corrupt(format!("{what}: missing sha256 digest")))?;
+    if !valid_digest(digest) {
+        return Err(StoreError::corrupt(format!(
+            "{what}: malformed digest {digest:?}"
+        )));
+    }
     Ok(digest.to_string())
 }
 
-/// Parse the layout's index + manifest without touching layer content.
-fn read_manifest(dir: &Path) -> Result<(OciSummary, Json)> {
-    let index_text = std::fs::read_to_string(dir.join("index.json"))?;
-    let index = Json::parse(&index_text)?;
-    let manifests = index
-        .get("manifests")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| StoreError::corrupt("index.json: no manifests"))?;
-    let entry = manifests
-        .first()
-        .ok_or_else(|| StoreError::corrupt("index.json: empty manifest list"))?;
-    let manifest_digest = bare_digest(entry, "index manifest")?;
-    let ref_name = entry
-        .get("annotations")
-        .and_then(|a| a.get(REF_ANNOTATION))
-        .and_then(Json::as_str)
-        .unwrap_or("imported:latest")
-        .to_string();
-
-    let manifest_bytes = read_blob(dir, &manifest_digest)?;
-    let manifest = Json::parse(
-        std::str::from_utf8(&manifest_bytes)
-            .map_err(|_| StoreError::corrupt("manifest is not UTF-8"))?,
-    )?;
-    let summary = summary_from_manifest(ref_name, manifest_digest, &manifest)?;
-    Ok((summary, manifest))
-}
-
-/// Walk an already-parsed manifest into an [`OciSummary`].
+/// Parse manifest bytes stored under `manifest_digest` into an
+/// [`OciSummary`], validating every digest the manifest names.
 fn summary_from_manifest(
     ref_name: String,
     manifest_digest: String,
-    manifest: &Json,
+    manifest_bytes: &[u8],
 ) -> Result<OciSummary> {
+    let manifest = Json::parse(
+        std::str::from_utf8(manifest_bytes)
+            .map_err(|_| StoreError::corrupt("manifest is not UTF-8"))?,
+    )?;
     let config_digest = bare_digest(
         manifest
             .get("config")
@@ -379,37 +380,32 @@ fn summary_from_manifest(
 /// involved — into an [`OciSummary`]. The manifest digest is computed
 /// from the bytes, so the summary is self-authenticating.
 pub fn parse_manifest(ref_name: &str, manifest_bytes: &[u8]) -> Result<OciSummary> {
-    let manifest_digest = hex(&Sha256::digest(manifest_bytes));
-    let manifest = Json::parse(
-        std::str::from_utf8(manifest_bytes)
-            .map_err(|_| StoreError::corrupt("manifest is not UTF-8"))?,
-    )?;
-    summary_from_manifest(ref_name.to_string(), manifest_digest, &manifest)
-}
-
-/// Fetch one blob through `fetch` and verify it against `digest` —
-/// every wire transfer is checked, exactly like on-disk layout blobs.
-fn fetch_verified(digest: &str, fetch: &mut dyn FnMut(&str) -> Result<Vec<u8>>) -> Result<Vec<u8>> {
-    let data = fetch(digest)?;
-    if hex(&Sha256::digest(&data)) != digest {
-        return Err(StoreError::corrupt(format!(
-            "fetched blob {digest} fails verification"
-        )));
-    }
-    Ok(data)
+    summary_from_manifest(
+        ref_name.to_string(),
+        hex(&Sha256::digest(manifest_bytes)),
+        manifest_bytes,
+    )
 }
 
 /// Materialize an [`Image`] from a manifest plus a blob fetcher (the
 /// registry client's pull path; [`import`] is the same assembly with
-/// the fetcher reading layout files). Every fetched blob is verified
-/// against its digest before use.
+/// the fetcher reading layout files). `fetch` returns the bytes of the
+/// blob it is asked for, already verified against that digest; they
+/// are not hashed again here.
 pub fn assemble(
     ref_name: &str,
     manifest_bytes: &[u8],
     fetch: &mut dyn FnMut(&str) -> Result<Vec<u8>>,
 ) -> Result<Image> {
-    let summary = parse_manifest(ref_name, manifest_bytes)?;
-    let config_bytes = fetch_verified(&summary.config_digest, fetch)?;
+    materialize(&parse_manifest(ref_name, manifest_bytes)?, fetch)
+}
+
+/// Fetch the config and layers `summary` names and stack the layers.
+fn materialize(
+    summary: &OciSummary,
+    fetch: &mut dyn FnMut(&str) -> Result<Vec<u8>>,
+) -> Result<Image> {
+    let config_bytes = fetch(&summary.config_digest)?;
     let config = Json::parse(
         std::str::from_utf8(&config_bytes)
             .map_err(|_| StoreError::corrupt("config is not UTF-8"))?,
@@ -417,16 +413,18 @@ pub fn assemble(
     let meta = meta_from_config(&config, &summary.ref_name)?;
     let mut fs = Fs::new();
     for digest in &summary.layer_digests {
-        let tar = fetch_verified(digest, fetch)?;
-        apply_tar(&mut fs, &tar)?;
+        apply_tar(&mut fs, &fetch(digest)?)?;
     }
     Ok(Image { meta, fs })
 }
 
 /// Write a full OCI layout at `dir` from a manifest plus a blob
-/// fetcher — the `pull` path's mirror of [`export`]. The index is
-/// generated by the same canonical writer as export, so pulling a
-/// zeroroot-pushed image reproduces the exported layout byte for byte.
+/// fetcher — the `pull` path's mirror of [`export`]. As for
+/// [`assemble`], `fetch` returns bytes already verified against the
+/// digest it was asked for, and each blob is stored under that digest
+/// without being hashed again. The index is generated by the same
+/// canonical writer as export, so pulling a zeroroot-pushed image
+/// reproduces the exported layout byte for byte.
 pub fn write_layout(
     dir: impl AsRef<Path>,
     ref_name: &str,
@@ -436,9 +434,9 @@ pub fn write_layout(
     let dir = dir.as_ref();
     let summary = parse_manifest(ref_name, manifest_bytes)?;
     let writer = LayoutWriter::new(dir)?;
-    writer.put_blob(manifest_bytes)?;
+    writer.put_verified(&summary.manifest_digest, manifest_bytes)?;
     for digest in std::iter::once(&summary.config_digest).chain(&summary.layer_digests) {
-        writer.put_blob(&fetch_verified(digest, fetch)?)?;
+        writer.put_verified(digest, &fetch(digest)?)?;
     }
     let index = index_json(&summary.manifest_digest, manifest_bytes.len(), ref_name);
     writer.write(&dir.join("index.json"), index.as_bytes())?;
@@ -518,18 +516,30 @@ fn meta_from_config(config: &Json, ref_name: &str) -> Result<ImageMeta> {
 /// `Image::digest`.
 pub fn import(dir: impl AsRef<Path>) -> Result<Image> {
     let dir = dir.as_ref();
-    let (summary, _manifest) = read_manifest(dir)?;
-    let manifest_bytes = read_blob(dir, &summary.manifest_digest)?;
-    assemble(&summary.ref_name, &manifest_bytes, &mut |digest| {
-        read_blob(dir, digest)
-    })
+    materialize(&inspect(dir)?, &mut |digest| read_layout_blob(dir, digest))
 }
 
-/// Summarize a layout without materializing its filesystem (manifest +
-/// config are still read and digest-verified).
+/// Summarize a layout from its index and manifest alone: the manifest
+/// blob is read and verified and every digest it names is validated,
+/// but no config or layer content is read.
 pub fn inspect(dir: impl AsRef<Path>) -> Result<OciSummary> {
     let dir = dir.as_ref();
-    let (summary, _) = read_manifest(dir)?;
-    read_blob(dir, &summary.config_digest)?;
-    Ok(summary)
+    let index_text = std::fs::read_to_string(dir.join("index.json"))?;
+    let index = Json::parse(&index_text)?;
+    let manifests = index
+        .get("manifests")
+        .and_then(Json::as_arr)
+        .ok_or_else(|| StoreError::corrupt("index.json: no manifests"))?;
+    let entry = manifests
+        .first()
+        .ok_or_else(|| StoreError::corrupt("index.json: empty manifest list"))?;
+    let manifest_digest = bare_digest(entry, "index manifest")?;
+    let ref_name = entry
+        .get("annotations")
+        .and_then(|a| a.get(REF_ANNOTATION))
+        .and_then(Json::as_str)
+        .unwrap_or("imported:latest")
+        .to_string();
+    let manifest_bytes = read_layout_blob(dir, &manifest_digest)?;
+    summary_from_manifest(ref_name, manifest_digest, &manifest_bytes)
 }

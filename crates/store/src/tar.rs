@@ -47,21 +47,31 @@ pub struct TarOpts {
     pub readdir_order: bool,
 }
 
-/// One parsed tar entry (reader side).
-#[derive(Debug)]
-struct TarEntry {
+/// One parsed tar entry, as [`list_entries`] returns it: what
+/// [`apply_tar`] applies, and what a layout differ compares field by
+/// field (mtime vs owner vs bytes) instead of "blob differs".
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct TarEntry {
     /// Absolute path inside the image ("/" for the root entry).
-    path: String,
-    typeflag: u8,
-    mode: u32,
-    uid: u32,
-    gid: u32,
-    mtime: u64,
-    linkname: String,
-    dev: u64,
-    data: Vec<u8>,
+    pub path: String,
+    /// The ustar typeflag byte (`b'0'` file, `b'5'` dir, ...).
+    pub typeflag: u8,
+    /// Permission bits (no file type).
+    pub mode: u32,
+    /// Owner uid as stored in the header.
+    pub uid: u32,
+    /// Owner gid as stored in the header.
+    pub gid: u32,
+    /// Modification time (0 in canonical layers).
+    pub mtime: u64,
+    /// Hard/symlink target ("" otherwise).
+    pub linkname: String,
+    /// Device number of a char/block device entry (0 otherwise).
+    pub dev: u64,
+    /// File payload (empty for non-regular entries).
+    pub data: Vec<u8>,
     /// A preceding PAX header marked this entry as a socket.
-    sock: bool,
+    pub sock: bool,
 }
 
 /// Map an image path to its tar member name (`/` → `./`, directories
@@ -434,47 +444,6 @@ pub fn diff_to_tar(base: &Fs, top: &Fs) -> Result<Vec<u8>> {
     Ok(out)
 }
 
-/// One tar entry as seen by a layout differ: the parser's record with
-/// the payload attached, so divergences can be attributed to a path
-/// and a field (mtime vs owner vs bytes) instead of "blob differs".
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TarEntryView {
-    /// Absolute path inside the image ("/" for the root entry).
-    pub path: String,
-    /// The ustar typeflag byte (`b'0'` file, `b'5'` dir, ...).
-    pub typeflag: u8,
-    /// Permission bits (no file type).
-    pub mode: u32,
-    /// Owner uid as stored in the header.
-    pub uid: u32,
-    /// Owner gid as stored in the header.
-    pub gid: u32,
-    /// Modification time (0 in canonical layers).
-    pub mtime: u64,
-    /// Hard/symlink target ("" otherwise).
-    pub linkname: String,
-    /// File payload (empty for non-regular entries).
-    pub data: Vec<u8>,
-}
-
-/// Parse a layer tar into differ-facing entry views (PAX headers are
-/// folded into the entries they qualify, as in [`apply_tar`]).
-pub fn list_entries(tar: &[u8]) -> Result<Vec<TarEntryView>> {
-    Ok(parse_entries(tar)?
-        .into_iter()
-        .map(|e| TarEntryView {
-            path: e.path,
-            typeflag: e.typeflag,
-            mode: e.mode,
-            uid: e.uid,
-            gid: e.gid,
-            mtime: e.mtime,
-            linkname: e.linkname,
-            data: e.data,
-        })
-        .collect())
-}
-
 /// Does this PAX extended-header payload contain `key=value`?
 fn pax_has(data: &[u8], key: &str, value: &str) -> bool {
     String::from_utf8_lossy(data).lines().any(|line| {
@@ -485,7 +454,9 @@ fn pax_has(data: &[u8], key: &str, value: &str) -> bool {
     })
 }
 
-fn parse_entries(tar: &[u8]) -> Result<Vec<TarEntry>> {
+/// Parse a layer tar into its entries (PAX headers are folded into the
+/// entries they qualify, as in [`apply_tar`]).
+pub fn list_entries(tar: &[u8]) -> Result<Vec<TarEntry>> {
     let mut entries = Vec::new();
     let mut pos = 0usize;
     let mut pending_sock = false;
@@ -566,7 +537,7 @@ fn parse_entries(tar: &[u8]) -> Result<Vec<TarEntry>> {
 /// markers — the OCI layer application step.
 pub fn apply_tar(fs: &mut Fs, tar: &[u8]) -> Result<()> {
     let root = Access::root();
-    for mut e in parse_entries(tar)? {
+    for mut e in list_entries(tar)? {
         let (parent, name) = zr_vfs::split_parent(&e.path)
             .map(|(p, n)| (if p.is_empty() { "/".into() } else { p }, n.to_string()))
             .unwrap_or_else(|| ("/".to_string(), String::new()));
@@ -722,7 +693,7 @@ mod tests {
             .unwrap();
 
         let diff = diff_to_tar(&base, &top).unwrap();
-        let names: Vec<String> = parse_entries(&diff)
+        let names: Vec<String> = list_entries(&diff)
             .unwrap()
             .into_iter()
             .map(|e| e.path)
@@ -748,7 +719,7 @@ mod tests {
         let mut top = base.clone();
         remove_recursive(&mut top, "/a/b").unwrap();
         let diff = diff_to_tar(&base, &top).unwrap();
-        let names: Vec<String> = parse_entries(&diff)
+        let names: Vec<String> = list_entries(&diff)
             .unwrap()
             .into_iter()
             .map(|e| e.path)

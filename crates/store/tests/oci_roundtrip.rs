@@ -187,6 +187,15 @@ fn foreign_layouts_without_zeroroot_config_still_import() {
     );
 }
 
+fn assert_malformed<T: std::fmt::Debug>(result: zr_store::Result<T>) {
+    match result {
+        Err(zr_store::StoreError::Corrupt(msg)) => {
+            assert!(msg.contains("malformed digest"), "{msg}")
+        }
+        other => panic!("expected corrupt error, got {other:?}"),
+    }
+}
+
 #[test]
 fn traversal_digests_in_a_crafted_layout_are_rejected() {
     // A hostile index.json must not be able to join "../" segments
@@ -198,12 +207,35 @@ fn traversal_digests_in_a_crafted_layout_are_rejected() {
         .unwrap()
         .replace(&summary.manifest_digest, "../../../../../../etc/passwd");
     std::fs::write(dir.join("index.json"), index).unwrap();
-    match import(dir.path()) {
-        Err(zr_store::StoreError::Corrupt(msg)) => {
-            assert!(msg.contains("malformed digest"), "{msg}")
-        }
-        other => panic!("expected corrupt error, got {other:?}"),
-    }
+    assert_malformed(import(dir.path()));
+
+    // The same walk through a layer descriptor of a validly stored,
+    // re-hashed manifest: refused where the manifest is parsed, so no
+    // reader of the manifest gets as far as the file it points at.
+    let dir = Scratch::new("oci-traversal-layer");
+    let summary = export(&image, dir.path()).unwrap();
+    let layer = dir.join(&format!("blobs/sha256/{}", summary.layer_digests[0]));
+    std::fs::copy(layer, dir.join("outside.tar")).unwrap();
+    let manifest_path = dir.join(&format!("blobs/sha256/{}", summary.manifest_digest));
+    let manifest = std::fs::read_to_string(manifest_path)
+        .unwrap()
+        .replace(&summary.layer_digests[0], "../../outside.tar");
+    let manifest_digest = {
+        use zr_digest::{hex, Sha256};
+        hex(&Sha256::digest(manifest.as_bytes()))
+    };
+    std::fs::write(
+        dir.join(&format!("blobs/sha256/{manifest_digest}")),
+        &manifest,
+    )
+    .unwrap();
+    let index = std::fs::read_to_string(dir.join("index.json"))
+        .unwrap()
+        .replace(&summary.manifest_digest, &manifest_digest);
+    std::fs::write(dir.join("index.json"), index).unwrap();
+    assert_malformed(inspect(dir.path()));
+    assert_malformed(import(dir.path()));
+    assert_malformed(zr_store::parse_manifest("demo:1", manifest.as_bytes()));
 }
 
 #[test]
