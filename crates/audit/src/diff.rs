@@ -91,8 +91,8 @@ impl std::fmt::Display for Divergence {
 }
 
 /// Diff two OCI image layouts and classify every divergence. An empty
-/// result is the audit's "clean" verdict: the layouts are byte-for-byte
-/// identical in every blob the manifests reference.
+/// result is the audit's "clean" verdict: the config and layer blobs
+/// the manifests reference are byte-for-byte identical.
 pub fn diff_layouts(dir_a: &Path, dir_b: &Path) -> Result<Vec<Divergence>> {
     Ok(audit_layouts(dir_a, dir_b)?.divergences)
 }
@@ -101,6 +101,9 @@ pub fn diff_layouts(dir_a: &Path, dir_b: &Path) -> Result<Vec<Divergence>> {
 /// one constructor of an [`AuditOutcome`], for built arms and for
 /// layouts already on disk alike. Every config and layer blob is read,
 /// and so verified, even where both manifests name the same digest.
+/// Only those blobs are compared: `index.json` (and the ref name it
+/// annotates) is outside the comparison, so two layouts that name the
+/// same image under different tags audit clean.
 pub fn audit_layouts(dir_a: &Path, dir_b: &Path) -> Result<AuditOutcome> {
     let sa = inspect(dir_a)?;
     let sb = inspect(dir_b)?;

@@ -20,7 +20,7 @@ pub fn render_human(outcome: &AuditOutcome) -> String {
         outcome.summary_b.layer_digests.len()
     ));
     if outcome.clean() {
-        out.push_str("verdict: CLEAN — layouts are byte-for-byte identical\n");
+        out.push_str("verdict: CLEAN — config and layer blobs are byte-for-byte identical\n");
     } else {
         out.push_str(&format!(
             "verdict: DIVERGENT — {} divergence(s)\n",

@@ -328,6 +328,31 @@ fn a_layer_digest_pointing_outside_the_layouts_is_refused() {
 }
 
 #[test]
+fn a_clean_verdict_names_the_blobs_it_compared() {
+    // The two layouts differ only in the ref name `index.json`
+    // annotates, which the audit does not compare: the verdict is
+    // clean, and it claims only the config and layer blobs.
+    let scratch = Scratch::new("index-ref");
+    let (dir_a, dir_b) = (scratch.path().join("arm-a"), scratch.path().join("arm-b"));
+    export(&tiny_image(None), &dir_a).unwrap();
+    export(&tiny_image(None), &dir_b).unwrap();
+    let index = std::fs::read_to_string(dir_b.join("index.json")).unwrap();
+    let retagged = index.replace("tiny:latest", "tiny:retagged");
+    assert_ne!(index, retagged, "the index annotates the ref name");
+    std::fs::write(dir_b.join("index.json"), retagged).unwrap();
+
+    let outcome = zr_audit::audit_layouts(&dir_a, &dir_b).expect("audit runs");
+    assert_eq!(outcome.summary_b.ref_name, "tiny:retagged");
+    let human = zr_audit::render_human(&outcome);
+    assert!(outcome.clean(), "{human}");
+    assert!(
+        human.contains("verdict: CLEAN — config and layer blobs are byte-for-byte identical"),
+        "{human}"
+    );
+    assert!(!human.contains("layouts are"), "{human}");
+}
+
+#[test]
 fn naive_export_of_the_same_build_is_still_clean() {
     // The naive packer is deterministic too: both arms raw → clean.
     // (Detection tests above diverge because the *inputs* differ, not

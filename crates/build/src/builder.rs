@@ -171,7 +171,7 @@ impl Builder {
         };
 
         let config = cache::config_fingerprint(opts);
-        let run_marker = make(opts.force).run_marker();
+        let run_marker = opts.force.run_marker();
 
         // ---- replay: walk the cached prefix without executing --------
         // The key chain is recomputed from (parent, instruction) pairs;
@@ -551,8 +551,10 @@ impl Builder {
         let mut fakeroot_present = has_fakeroot(kernel, stage);
         if opts.force == Mode::Fakeroot && !fakeroot_present {
             if let Some(pkg) = repo_for(stage.meta.distro).get("fakeroot") {
-                out.log
-                    .push("--force=fakeroot: installing fakeroot into image".into());
+                out.log.push(format!(
+                    "--force={}: installing fakeroot into image",
+                    opts.force.flag()
+                ));
                 let mut ctx = kernel.ctx(pid);
                 if extract_package(&mut ctx, pkg, ChownBehavior::SkipIfMatching).is_ok() {
                     fakeroot_present = true;
@@ -568,7 +570,7 @@ impl Builder {
         strategy
             .prepare(kernel, pid, &prepare_env)
             .map_err(|error| BuildError::Prepare {
-                flag: strategy.flag(),
+                flag: opts.force.flag(),
                 error,
             })?;
 
@@ -578,7 +580,7 @@ impl Builder {
         let (path, argv) = match instruction {
             Instruction::RunShell(cmd) => {
                 let mut executed = cmd.clone();
-                if matches!(opts.force, Mode::Seccomp | Mode::SeccompXattr) {
+                if opts.force.injects_apt_workaround() {
                     let (injected, changed) = inject_apt_workaround(cmd);
                     if changed {
                         out.modified += 1;
@@ -720,10 +722,10 @@ pub fn assemble(plan: &BuildPlan, opts: &BuildOptions, stages: &mut Stages) -> B
     };
     match stages.images.remove(&plan.target()) {
         Some(image) if result.error.is_none() => {
-            if matches!(opts.force, Mode::Seccomp | Mode::SeccompXattr) {
+            if opts.force.injects_apt_workaround() {
                 result.log.push(format!(
                     "--force={}: modified {} RUN instructions",
-                    make(opts.force).flag(),
+                    opts.force.flag(),
                     stages.modified
                 ));
             }

@@ -11,7 +11,6 @@
 
 use crate::options::BuildOptions;
 use zeroroot_core::digest::FieldDigest;
-use zeroroot_core::make;
 use zr_dockerfile::{substitute, Instruction};
 use zr_image::CacheKey;
 
@@ -85,7 +84,7 @@ impl std::fmt::Display for CacheStats {
 pub(crate) fn config_fingerprint(opts: &BuildOptions) -> String {
     format!(
         "{}|{}|{}",
-        make(opts.force).flag(),
+        opts.force.flag(),
         opts.container_type,
         opts.host_libc
     )

@@ -34,7 +34,7 @@ pub enum BuildError {
     },
     /// The `--force` strategy could not be armed.
     Prepare {
-        /// The strategy's flag value.
+        /// The mode's `--force=` flag value.
         flag: &'static str,
         /// Underlying cause.
         error: PrepareError,

@@ -99,6 +99,37 @@ fn run_markers_follow_the_figures() {
         .contains("2. RUN.N yum install -y openssh"));
 }
 
+/// Every mode arms a one-RUN build on a base where its `prepare`
+/// succeeds (glibc 2.36 matches the default host libc; the repo ships
+/// fakeroot), logs its own RUN marker, and reports modified RUNs
+/// exactly when it splices in the apt workaround.
+#[test]
+fn every_mode_logs_its_marker_and_apt_report() {
+    for mode in Mode::ALL {
+        let mut kernel = Kernel::default_kernel();
+        let result = Builder::new().build(
+            &mut kernel,
+            "FROM debian:12\nRUN true\n",
+            &BuildOptions::new("one", mode),
+        );
+        assert!(result.success, "{mode:?}:\n{}", result.log_text());
+        let marker = format!("2. {} true", mode.run_marker());
+        assert!(result.log.contains(&marker), "{mode:?} must log {marker:?}");
+        let reported: Vec<&String> = result
+            .log
+            .iter()
+            .filter(|l| l.contains(": modified "))
+            .collect();
+        let expected = format!("--force={}: modified 0 RUN instructions", mode.flag());
+        let wanted: Vec<&String> = if mode.injects_apt_workaround() {
+            vec![&expected]
+        } else {
+            vec![]
+        };
+        assert_eq!(reported, wanted, "{mode:?}");
+    }
+}
+
 #[test]
 fn hit_and_miss_markers_render_exactly() {
     // Regression pin for the cache marker format: `N* INSTR` hit vs

@@ -93,9 +93,8 @@ fn usage() -> ExitCode {
          [--store-limit BYTES] [--blob-limit BYTES] [--registry ADDR] [--retry N] \
          [--timeout SECS] [--fault-plan PLAN]"
     );
-    eprintln!(
-        "modes: none seccomp seccomp+xattr seccomp+ids fakeroot fakeroot-bind proot proot-accel"
-    );
+    let modes: Vec<&str> = Mode::ALL.iter().map(|m| m.flag()).collect();
+    eprintln!("modes: {}", modes.join(" "));
     ExitCode::from(2)
 }
 
@@ -751,11 +750,13 @@ fn cmd_pull(args: &[String]) -> ExitCode {
     }
 }
 
-/// `store gc|stats --cache-dir DIR`.
+/// `store gc|stats --cache-dir DIR`. An unknown action is refused
+/// before the store opens: opening runs crash recovery, which rewrites
+/// the directory.
 fn cmd_store(args: &[String]) -> ExitCode {
     let (action, rest) = match args.split_first() {
-        Some((action, rest)) => (action.as_str(), rest),
-        None => return usage(),
+        Some((action, rest)) if action == "gc" || action == "stats" => (action.as_str(), rest),
+        _ => return usage(),
     };
     let mut cache_dir: Option<String> = None;
     let mut it = rest.iter();
@@ -786,8 +787,8 @@ fn cmd_store(args: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    match action {
-        "gc" => match cas.gc() {
+    if action == "gc" {
+        match cas.gc() {
             Ok(report) => {
                 println!(
                     "gc: {} blobs scanned, {} live, {} removed, {} bytes freed",
@@ -799,35 +800,33 @@ fn cmd_store(args: &[String]) -> ExitCode {
                 eprintln!("error: gc: {e}");
                 ExitCode::FAILURE
             }
-        },
-        "stats" => {
-            use zr_image::LayerPersistence;
-            let disk = zr_store::DiskLayers::new(cas);
-            let stats = disk.cas().stats();
-            println!("layers:   {}", disk.keys().len());
-            println!("store:    {stats}");
-            println!("logical:  {} bytes in {} blobs", stats.bytes, stats.blobs);
-            println!(
-                "physical: {} bytes ({} chunk indexes, {} bytes saved by chunk dedup)",
-                stats.physical_bytes, stats.chunk_indexes, stats.chunk_dedup_saved
-            );
-            println!(
-                "io:       {} writes ({} bytes), {} reads ({} bytes), {} dedup skips",
-                stats.writes, stats.written_bytes, stats.reads, stats.read_bytes, stats.dedup_skips
-            );
-            println!(
-                "evicted:  {} roots ({} dir-fsync failures)",
-                stats.evicted_roots, stats.dir_fsync_failures
-            );
-            println!(
-                "repair:   {} tmp files recovered, {} corrupt roots quarantined",
-                stats.recovered_tmp, stats.corrupt_roots
-            );
-            println!("roots:    {}", disk.cas().roots().len());
-            println!("fault:    {}", zr_fault::counters());
-            ExitCode::SUCCESS
         }
-        _ => usage(),
+    } else {
+        use zr_image::LayerPersistence;
+        let disk = zr_store::DiskLayers::new(cas);
+        let stats = disk.cas().stats();
+        println!("layers:   {}", disk.keys().len());
+        println!("store:    {stats}");
+        println!("logical:  {} bytes in {} blobs", stats.bytes, stats.blobs);
+        println!(
+            "physical: {} bytes ({} chunk indexes, {} bytes saved by chunk dedup)",
+            stats.physical_bytes, stats.chunk_indexes, stats.chunk_dedup_saved
+        );
+        println!(
+            "io:       {} writes ({} bytes), {} reads ({} bytes), {} dedup skips",
+            stats.writes, stats.written_bytes, stats.reads, stats.read_bytes, stats.dedup_skips
+        );
+        println!(
+            "evicted:  {} roots ({} dir-fsync failures)",
+            stats.evicted_roots, stats.dir_fsync_failures
+        );
+        println!(
+            "repair:   {} tmp files recovered, {} corrupt roots quarantined",
+            stats.recovered_tmp, stats.corrupt_roots
+        );
+        println!("roots:    {}", disk.cas().roots().len());
+        println!("fault:    {}", zr_fault::counters());
+        ExitCode::SUCCESS
     }
 }
 

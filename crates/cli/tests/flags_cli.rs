@@ -2,10 +2,14 @@
 //! binary: every flag `usage()` lists under BUILD FLAGS is accepted by
 //! `build-many`, a flag it does not list is refused, and a context
 //! directory that cannot be read fails before any build starts. The
-//! wire verbs (`push`, `pull`) refuse bad flags with the usage exit.
+//! `modes:` line lists every `--force` mode, and `build` accepts each.
+//! The wire verbs (`push`, `pull`) refuse bad flags with the usage
+//! exit.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
+
+use zeroroot_core::Mode;
 
 const BIN: &str = env!("CARGO_BIN_EXE_zr-image");
 
@@ -116,6 +120,34 @@ fn build_flags_match_usage() {
     // A flag usage() does not list is a usage error.
     let out = run(&["build-many", "--shards", "4", &df]);
     assert_eq!(out.status.code(), Some(2), "stderr:\n{}", stderr(&out));
+}
+
+#[test]
+fn usage_lists_every_mode_and_build_accepts_each() {
+    let out = run(&[]);
+    let text = stderr(&out);
+    let listed: Vec<&str> = text
+        .lines()
+        .find_map(|l| l.strip_prefix("modes: "))
+        .expect("usage lists modes")
+        .split(' ')
+        .collect();
+    let flags: Vec<&str> = Mode::ALL.iter().map(|m| m.flag()).collect();
+    assert_eq!(listed, flags);
+
+    let scratch = Scratch::new("modes");
+    let df = scratch.join("modes.df");
+    std::fs::write(&df, "FROM debian:12\nRUN true\n").unwrap();
+    for flag in flags {
+        let force = format!("--force={flag}");
+        let out = run(&["build", &force, "-f", &df]);
+        assert_eq!(
+            out.status.code(),
+            Some(0),
+            "build {force} must be accepted; stderr:\n{}",
+            stderr(&out)
+        );
+    }
 }
 
 #[test]

@@ -172,6 +172,35 @@ fn store_subcommands_refuse_to_create_a_store() {
 }
 
 #[test]
+fn an_unknown_store_action_leaves_the_store_untouched() {
+    // Opening a store runs crash recovery, which deletes a dead
+    // writer's staging file: a mistyped action must print usage
+    // without opening it.
+    let scratch = Scratch::new("action");
+    let cache = scratch.join("cache");
+    drop(zr_store::Cas::open(&cache).expect("init store"));
+    // Pid 4999999 is above Linux's pid ceiling: never a live writer.
+    let staged = cache.join("tmp/w4999999-0.tmp");
+    std::fs::write(&staged, b"half a write").unwrap();
+
+    let out = run(&["store", "frob", "--cache-dir", cache.to_str().unwrap()]);
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{err}");
+    assert!(err.contains("usage: zr-image"), "{err}");
+    assert!(staged.exists(), "the unknown action ran crash recovery");
+
+    // A known action opens the store, and recovery reclaims the file.
+    let stats = run(&["store", "stats", "--cache-dir", cache.to_str().unwrap()]);
+    assert!(stats.status.success());
+    assert!(
+        stdout(&stats).contains("repair:   1 tmp files recovered"),
+        "{}",
+        stdout(&stats)
+    );
+    assert!(!staged.exists());
+}
+
+#[test]
 fn store_gc_and_stats_operate_on_a_cache_dir() {
     let scratch = Scratch::new("gc");
     let df = write_dockerfile(&scratch.0);

@@ -262,24 +262,6 @@ impl FakerootEmulation {
 }
 
 impl RootEmulation for FakerootEmulation {
-    fn name(&self) -> &'static str {
-        match self.provisioning {
-            Provisioning::InstalledInImage => "fakeroot",
-            Provisioning::BindMountedFromHost => "fakeroot-bind",
-        }
-    }
-
-    fn flag(&self) -> &'static str {
-        match self.provisioning {
-            Provisioning::InstalledInImage => "fakeroot",
-            Provisioning::BindMountedFromHost => "fakeroot-bind",
-        }
-    }
-
-    fn run_marker(&self) -> &'static str {
-        "RUN.F"
-    }
-
     fn prepare(&self, k: &mut Kernel, pid: Pid, env: &PrepareEnv) -> Result<(), PrepareError> {
         match self.provisioning {
             Provisioning::InstalledInImage => {
@@ -303,14 +285,6 @@ impl RootEmulation for FakerootEmulation {
 
     fn teardown(&self, k: &mut Kernel) {
         k.set_preload_hook(None); // daemon thread joins on drop
-    }
-
-    fn consistent(&self) -> bool {
-        true
-    }
-
-    fn wraps_static(&self) -> bool {
-        false // THE LD_PRELOAD limitation (§3.1)
     }
 }
 

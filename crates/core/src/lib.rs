@@ -16,8 +16,12 @@
 //!
 //! A strategy's job is exactly Charliecloud's `--force` hook: *prepare a
 //! container process before a RUN instruction executes in it* — install a
-//! filter, preload a shim, or attach a tracer — and report the marker the
-//! build log prints (`RUN.N`, `RUN.S`, `RUN.F`, `RUN.P`).
+//! filter, preload a shim, or attach a tracer — and disarm it afterwards.
+//! It does nothing else: the facts about each mode (its `--force=` flag,
+//! the marker the build log prints — `RUN.N`, `RUN.S`, `RUN.F`, `RUN.P` —
+//! its consistency, whether it wraps static binaries and whether the
+//! builder splices in the §5 apt workaround) live on [`Mode`], one
+//! `match` each.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

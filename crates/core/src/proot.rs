@@ -125,26 +125,6 @@ impl ProotEmulation {
 }
 
 impl RootEmulation for ProotEmulation {
-    fn name(&self) -> &'static str {
-        if self.accelerated {
-            "proot-accel"
-        } else {
-            "proot"
-        }
-    }
-
-    fn flag(&self) -> &'static str {
-        if self.accelerated {
-            "proot-accel"
-        } else {
-            "proot"
-        }
-    }
-
-    fn run_marker(&self) -> &'static str {
-        "RUN.P"
-    }
-
     fn prepare(&self, k: &mut Kernel, pid: Pid, _env: &PrepareEnv) -> Result<(), PrepareError> {
         k.process_mut(pid).traced = true;
         let hook = if self.accelerated {
@@ -158,14 +138,6 @@ impl RootEmulation for ProotEmulation {
 
     fn teardown(&self, k: &mut Kernel) {
         k.set_tracer_hook(None);
-    }
-
-    fn consistent(&self) -> bool {
-        true
-    }
-
-    fn wraps_static(&self) -> bool {
-        true // ptrace sees raw syscalls, linkage is irrelevant (§3.2)
     }
 }
 

@@ -15,8 +15,6 @@ use zr_syscalls::Arch;
 pub struct SeccompEmulation {
     spec: FilterSpec,
     id_consistency: bool,
-    name: &'static str,
-    flag: &'static str,
 }
 
 impl SeccompEmulation {
@@ -25,8 +23,6 @@ impl SeccompEmulation {
         SeccompEmulation {
             spec: spec::zero_consistency(&Arch::ALL),
             id_consistency: false,
-            name: "seccomp",
-            flag: "seccomp",
         }
     }
 
@@ -36,8 +32,6 @@ impl SeccompEmulation {
         SeccompEmulation {
             spec: spec::zero_consistency_with_xattr(&Arch::ALL),
             id_consistency: false,
-            name: "seccomp+xattr",
-            flag: "seccomp+xattr",
         }
     }
 
@@ -48,8 +42,6 @@ impl SeccompEmulation {
         SeccompEmulation {
             spec: spec::zero_consistency(&Arch::ALL),
             id_consistency: true,
-            name: "seccomp+ids",
-            flag: "seccomp+ids",
         }
     }
 
@@ -60,18 +52,6 @@ impl SeccompEmulation {
 }
 
 impl RootEmulation for SeccompEmulation {
-    fn name(&self) -> &'static str {
-        self.name
-    }
-
-    fn flag(&self) -> &'static str {
-        self.flag
-    }
-
-    fn run_marker(&self) -> &'static str {
-        "RUN.S"
-    }
-
     fn prepare(&self, k: &mut Kernel, pid: Pid, _env: &PrepareEnv) -> Result<(), PrepareError> {
         let prog = zr_seccomp::compile(&self.spec).map_err(|_| PrepareError::SelfTestFailed)?;
         let mut ctx = k.ctx(pid);
@@ -92,14 +72,6 @@ impl RootEmulation for SeccompEmulation {
         // Nothing to tear down: the filter is part of the process and
         // cannot be removed (§4) — precisely the paper's "emulation is
         // complete once the filter is installed".
-    }
-
-    fn consistent(&self) -> bool {
-        self.id_consistency // ids only, even then; files never
-    }
-
-    fn wraps_static(&self) -> bool {
-        true // kernel-side: linkage is irrelevant
     }
 }
 

@@ -64,18 +64,9 @@ impl std::fmt::Display for PrepareError {
 impl std::error::Error for PrepareError {}
 
 /// A root-emulation strategy, pluggable into the builder per RUN
-/// instruction.
+/// instruction. A strategy only arms and disarms; the facts about each
+/// mode (flag, log marker, consistency) live on [`Mode`].
 pub trait RootEmulation {
-    /// Human name ("seccomp", "fakeroot", …).
-    fn name(&self) -> &'static str;
-
-    /// The `--force=` flag value this corresponds to.
-    fn flag(&self) -> &'static str;
-
-    /// The per-instruction marker the build log prints (the paper's
-    /// Figures show `RUN.N` and `RUN.S`).
-    fn run_marker(&self) -> &'static str;
-
     /// Arm the strategy on a container process, before the RUN command
     /// execs.
     fn prepare(&self, k: &mut Kernel, pid: Pid, env: &PrepareEnv) -> Result<(), PrepareError>;
@@ -83,13 +74,6 @@ pub trait RootEmulation {
     /// Disarm global hooks after the RUN command finished (filters cannot
     /// be removed, matching §4; hooks can).
     fn teardown(&self, k: &mut Kernel);
-
-    /// Does this strategy give *consistent* root emulation (later reads
-    /// observe earlier faked writes)?
-    fn consistent(&self) -> bool;
-
-    /// Can it wrap statically linked executables?
-    fn wraps_static(&self) -> bool;
 }
 
 /// Selector mirroring `ch-image build --force=…` plus the comparison
@@ -129,17 +113,54 @@ impl Mode {
 
     /// Parse a `--force=` flag value.
     pub fn from_flag(flag: &str) -> Option<Mode> {
-        match flag {
-            "none" => Some(Mode::None),
-            "seccomp" => Some(Mode::Seccomp),
-            "seccomp+xattr" => Some(Mode::SeccompXattr),
-            "seccomp+ids" => Some(Mode::SeccompIdConsistent),
-            "fakeroot" => Some(Mode::Fakeroot),
-            "fakeroot-bind" => Some(Mode::FakerootBindMount),
-            "proot" => Some(Mode::Proot),
-            "proot-accel" => Some(Mode::ProotAccelerated),
-            _ => None,
+        Mode::ALL.into_iter().find(|mode| mode.flag() == flag)
+    }
+
+    /// The `--force=` flag value; log lines and layer cache keys carry
+    /// it.
+    pub fn flag(self) -> &'static str {
+        match self {
+            Mode::None => "none",
+            Mode::Seccomp => "seccomp",
+            Mode::SeccompXattr => "seccomp+xattr",
+            Mode::SeccompIdConsistent => "seccomp+ids",
+            Mode::Fakeroot => "fakeroot",
+            Mode::FakerootBindMount => "fakeroot-bind",
+            Mode::Proot => "proot",
+            Mode::ProotAccelerated => "proot-accel",
         }
+    }
+
+    /// The per-instruction marker the build log prints (the paper's
+    /// Figures show `RUN.N` and `RUN.S`).
+    pub fn run_marker(self) -> &'static str {
+        match self {
+            Mode::None => "RUN.N",
+            Mode::Seccomp | Mode::SeccompXattr | Mode::SeccompIdConsistent => "RUN.S",
+            Mode::Fakeroot | Mode::FakerootBindMount => "RUN.F",
+            Mode::Proot | Mode::ProotAccelerated => "RUN.P",
+        }
+    }
+
+    /// Does this mode give *consistent* root emulation (later reads
+    /// observe earlier faked writes)? `seccomp+ids` keeps ids
+    /// consistent, never files.
+    pub fn consistent(self) -> bool {
+        !matches!(self, Mode::None | Mode::Seccomp | Mode::SeccompXattr)
+    }
+
+    /// Can it wrap statically linked executables? LD_PRELOAD cannot
+    /// (§3.1); the kernel and ptrace see raw syscalls whatever the
+    /// linkage, and `none` has nothing to wrap.
+    pub fn wraps_static(self) -> bool {
+        !matches!(self, Mode::Fakeroot | Mode::FakerootBindMount)
+    }
+
+    /// Does the builder splice the §5 apt workaround into shell-form
+    /// RUNs? Only the zero-consistency filters need it: `seccomp+ids`
+    /// answers apt's privilege-drop check consistently.
+    pub fn injects_apt_workaround(self) -> bool {
+        matches!(self, Mode::Seccomp | Mode::SeccompXattr)
     }
 }
 
@@ -168,25 +189,10 @@ pub fn make(mode: Mode) -> Box<dyn RootEmulation> {
 pub struct NoEmulation;
 
 impl RootEmulation for NoEmulation {
-    fn name(&self) -> &'static str {
-        "none"
-    }
-    fn flag(&self) -> &'static str {
-        "none"
-    }
-    fn run_marker(&self) -> &'static str {
-        "RUN.N"
-    }
     fn prepare(&self, _k: &mut Kernel, _pid: Pid, _env: &PrepareEnv) -> Result<(), PrepareError> {
         Ok(())
     }
     fn teardown(&self, _k: &mut Kernel) {}
-    fn consistent(&self) -> bool {
-        false
-    }
-    fn wraps_static(&self) -> bool {
-        true // nothing to wrap; nothing breaks
-    }
 }
 
 #[cfg(test)]
@@ -196,33 +202,38 @@ mod tests {
     #[test]
     fn flag_roundtrip() {
         for mode in Mode::ALL {
-            let strategy = make(mode);
-            assert_eq!(Mode::from_flag(strategy.flag()), Some(mode), "{mode:?}");
+            assert_eq!(Mode::from_flag(mode.flag()), Some(mode), "{mode:?}");
         }
         assert_eq!(Mode::from_flag("bogus"), None);
     }
 
     #[test]
+    fn flags_are_distinct() {
+        let flags: std::collections::HashSet<&str> = Mode::ALL.iter().map(|m| m.flag()).collect();
+        assert_eq!(flags.len(), Mode::ALL.len(), "{flags:?}");
+    }
+
+    #[test]
     fn markers_match_paper_figures() {
-        assert_eq!(make(Mode::None).run_marker(), "RUN.N");
-        assert_eq!(make(Mode::Seccomp).run_marker(), "RUN.S");
-        assert_eq!(make(Mode::Fakeroot).run_marker(), "RUN.F");
+        assert_eq!(Mode::None.run_marker(), "RUN.N");
+        assert_eq!(Mode::Seccomp.run_marker(), "RUN.S");
+        assert_eq!(Mode::Fakeroot.run_marker(), "RUN.F");
     }
 
     #[test]
     fn consistency_matrix() {
-        assert!(!make(Mode::None).consistent());
-        assert!(!make(Mode::Seccomp).consistent());
-        assert!(make(Mode::Fakeroot).consistent());
-        assert!(make(Mode::Proot).consistent());
+        assert!(!Mode::None.consistent());
+        assert!(!Mode::Seccomp.consistent());
+        assert!(Mode::Fakeroot.consistent());
+        assert!(Mode::Proot.consistent());
     }
 
     #[test]
     fn static_binary_matrix() {
         // §6(3): ptrace/seccomp wrap static executables; LD_PRELOAD can't.
-        assert!(make(Mode::Seccomp).wraps_static());
-        assert!(make(Mode::Proot).wraps_static());
-        assert!(!make(Mode::Fakeroot).wraps_static());
-        assert!(!make(Mode::FakerootBindMount).wraps_static());
+        assert!(Mode::Seccomp.wraps_static());
+        assert!(Mode::Proot.wraps_static());
+        assert!(!Mode::Fakeroot.wraps_static());
+        assert!(!Mode::FakerootBindMount.wraps_static());
     }
 }

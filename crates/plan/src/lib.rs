@@ -4,9 +4,8 @@
 //! (each FROM and the instructions under it), edges are `FROM <alias>`
 //! bases and `COPY --from=` references (by alias or by 0-based index).
 //! The compiler resolves the build target, prunes every stage the
-//! target does not (transitively) depend on, orders the survivors for
-//! execution, and derives a deterministic plan digest — the identity a
-//! scheduler or cache tier can key on.
+//! target does not (transitively) depend on, and orders the survivors
+//! for execution.
 //!
 //! The parser already guarantees references point strictly *backward*
 //! (self and forward `--from=` are parse errors), so a plan compiled
@@ -35,7 +34,6 @@
 
 use std::collections::BTreeSet;
 
-use zeroroot_core::digest::FieldDigest;
 use zr_dockerfile::{Dockerfile, Instruction};
 
 /// What a stage's FROM resolves to.
@@ -106,8 +104,8 @@ impl std::fmt::Display for PlanError {
 
 impl std::error::Error for PlanError {}
 
-/// A compiled build plan: the stage DAG, the target, the execution
-/// order of retained stages, and the plan digest.
+/// A compiled build plan: the stage DAG, the target, and the execution
+/// order of retained stages.
 #[derive(Debug, Clone)]
 pub struct BuildPlan {
     header: Vec<(u32, Instruction)>,
@@ -115,7 +113,6 @@ pub struct BuildPlan {
     target: usize,
     order: Vec<usize>,
     pruned: Vec<usize>,
-    digest: String,
 }
 
 impl BuildPlan {
@@ -197,15 +194,12 @@ impl BuildPlan {
             .filter(|i| !retained.contains(i))
             .collect();
 
-        let header = df.header().to_vec();
-        let digest = plan_digest(&header, &stages, &order, target);
         Ok(BuildPlan {
-            header,
+            header: df.header().to_vec(),
             stages,
             target,
             order,
             pruned,
-            digest,
         })
     }
 
@@ -232,13 +226,6 @@ impl BuildPlan {
     /// Stages the target does not consume — never executed.
     pub fn pruned(&self) -> &[usize] {
         &self.pruned
-    }
-
-    /// Deterministic digest over the retained plan: target, stage
-    /// structure, and instruction content — independent of source line
-    /// numbers, comments, and pruned stages.
-    pub fn digest(&self) -> &str {
-        &self.digest
     }
 
     /// Is there exactly one retained stage (the single-stage fast
@@ -286,36 +273,6 @@ fn resolve_ref(text: &str, earlier: &[zr_dockerfile::ast::Stage<'_>]) -> Option<
                 .ok()
                 .filter(|&i| i < earlier.len() && text.bytes().all(|b| b.is_ascii_digit()))
         })
-}
-
-/// The plan digest: a [`FieldDigest`] over the retained structure.
-fn plan_digest(
-    header: &[(u32, Instruction)],
-    stages: &[StageNode],
-    order: &[usize],
-    target: usize,
-) -> String {
-    let mut d = FieldDigest::new("zr-plan-v1");
-    d.field(target.to_string().as_bytes());
-    for (_, insn) in header {
-        d.field(format!("{insn:?}").as_bytes());
-    }
-    for &i in order {
-        let stage = &stages[i];
-        d.field(stage.index.to_string().as_bytes());
-        d.field(stage.alias.as_deref().unwrap_or("").as_bytes());
-        match &stage.base {
-            BaseRef::Image(r) => d.field(format!("image:{r}").as_bytes()),
-            BaseRef::Stage(s) => d.field(format!("stage:{s}").as_bytes()),
-        };
-        for dep in &stage.deps {
-            d.field(dep.to_string().as_bytes());
-        }
-        for (_, insn) in &stage.instructions {
-            d.field(format!("{insn:?}").as_bytes());
-        }
-    }
-    d.finish()
 }
 
 #[cfg(test)]
@@ -386,54 +343,6 @@ mod tests {
             vec![0]
         );
         assert_eq!(plan.resolve_from("0", 1), Some(0));
-    }
-
-    #[test]
-    fn digest_is_stable_and_structure_sensitive() {
-        let df = parse(DIAMOND).unwrap();
-        let a = BuildPlan::compile(&df, None).unwrap();
-        let b = BuildPlan::compile(&df, None).unwrap();
-        assert_eq!(a.digest(), b.digest());
-        // Comments/blank lines do not move the digest (line numbers
-        // are excluded).
-        let spaced = format!("# header\n\n{DIAMOND}");
-        let c = BuildPlan::compile(&parse(&spaced).unwrap(), None).unwrap();
-        assert_eq!(a.digest(), c.digest());
-        // A different target is a different plan.
-        let t = BuildPlan::compile(&df, Some("left")).unwrap();
-        assert_ne!(a.digest(), t.digest());
-        // An instruction edit is a different plan.
-        let edited = DIAMOND.replace("touch /left", "touch /other");
-        let e = BuildPlan::compile(&parse(&edited).unwrap(), None).unwrap();
-        assert_ne!(a.digest(), e.digest());
-    }
-
-    #[test]
-    fn pruned_stages_do_not_move_the_digest() {
-        let df = parse(
-            "FROM alpine:3.19 AS used\nRUN touch /u\n\
-             FROM debian:12 AS unused\nRUN touch /x\n\
-             FROM scratch\nCOPY --from=used /u /u\n",
-        )
-        .unwrap();
-        let with_unused = BuildPlan::compile(&df, None).unwrap();
-        let without = parse(
-            "FROM alpine:3.19 AS used\nRUN touch /u\n\
-             FROM scratch\nCOPY --from=used /u /u\n",
-        )
-        .unwrap();
-        // Same retained structure — but stage *indices* differ (2 vs 1),
-        // so digests legitimately differ; what must hold is stability
-        // of the retained content given identical indices. Check the
-        // weaker, meaningful property: recompiling either is stable.
-        assert_eq!(
-            with_unused.digest(),
-            BuildPlan::compile(&df, None).unwrap().digest()
-        );
-        assert_eq!(
-            BuildPlan::compile(&without, None).unwrap().digest(),
-            BuildPlan::compile(&without, None).unwrap().digest()
-        );
     }
 
     #[test]

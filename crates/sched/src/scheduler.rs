@@ -618,9 +618,6 @@ fn run_task(shared: &BatchShared, task: Task) {
     let outcome = catch_unwind(AssertUnwindSafe(|| {
         worker_fault_hooks();
         let mut kernel = Kernel::default_kernel();
-        kernel
-            .trace
-            .set_label(&format!("{}:{}", request.id, dag.plan.stage_name(stage)));
         let mut builder = Builder::with_shared(shared.registry.clone(), shared.layers.clone());
         let (image, output) =
             builder.build_stage(&mut kernel, &dag.plan, stage, &request.options, &deps);

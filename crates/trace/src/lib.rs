@@ -83,9 +83,6 @@ pub struct Stats {
 #[derive(Debug, Clone, Default)]
 pub struct Tracer {
     inner: Arc<Mutex<Vec<Record>>>,
-    /// Optional build id prepended to every dumped line, so interleaved
-    /// logs from concurrent builds stay attributable to their build.
-    label: Arc<Mutex<String>>,
 }
 
 impl Tracer {
@@ -98,21 +95,6 @@ impl Tracer {
     /// yields the data — traces are diagnostics, not invariants.
     fn lock(&self) -> MutexGuard<'_, Vec<Record>> {
         self.inner.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Tag this tracer (and every clone of it) with a build id; `dump`
-    /// prefixes each line with it. The scheduler labels each build's
-    /// kernel so concurrent trace output stays attributable.
-    pub fn set_label(&self, label: &str) {
-        *self.label.lock().unwrap_or_else(PoisonError::into_inner) = label.to_string();
-    }
-
-    /// The current label ("" when unset).
-    pub fn label(&self) -> String {
-        self.label
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clone()
     }
 
     /// Append a record.
@@ -178,20 +160,13 @@ impl Tracer {
         s
     }
 
-    /// Render an strace-like text dump (for docs and debugging). When a
-    /// build-id label is set, every line carries it.
+    /// Render an strace-like text dump (for docs and debugging).
     pub fn dump(&self) -> String {
-        let label = self.label();
-        let prefix = if label.is_empty() {
-            String::new()
-        } else {
-            format!("{label} ")
-        };
         let records = self.lock();
         let mut out = String::new();
         for r in records.iter() {
             out.push_str(&format!(
-                "[{prefix}pid {:>5}] {}({}) = {:?}\n",
+                "[pid {:>5}] {}({}) = {:?}\n",
                 r.pid,
                 r.sysno.name(),
                 r.note,
@@ -281,18 +256,5 @@ mod tests {
         let t = Tracer::new();
         t.record(rec(Sysno::KexecLoad, Disposition::FakedByFilter));
         assert!(t.dump().contains("kexec_load"));
-    }
-
-    #[test]
-    fn label_prefixes_dump_lines() {
-        let t = Tracer::new();
-        t.record(rec(Sysno::Chown, Disposition::FakedByFilter));
-        assert!(t.dump().starts_with("[pid"), "unlabeled dump unchanged");
-        let clone = t.clone();
-        clone.set_label("b3");
-        assert_eq!(t.label(), "b3", "clones share the label");
-        for line in t.dump().lines() {
-            assert!(line.starts_with("[b3 pid"), "{line}");
-        }
     }
 }

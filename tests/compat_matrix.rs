@@ -69,7 +69,7 @@ fn static_binary_matrix_matches_section_6() {
 #[test]
 fn strategy_metadata_agrees_with_behaviour() {
     for mode in Mode::ALL {
-        let claims = make(mode).wraps_static();
+        let claims = mode.wraps_static();
         if mode == Mode::None {
             continue; // nothing to emulate either way
         }
