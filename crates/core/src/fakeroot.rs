@@ -18,63 +18,24 @@
 use std::sync::mpsc::{sync_channel, SyncSender};
 use std::thread::JoinHandle;
 
-use crate::interpose::{emulate_call, FakeIds, OverlayStore};
+use crate::interpose::{emulate_call, OverlayStore};
 use crate::statedb::StateDb;
 use crate::strategy::{PrepareEnv, PrepareError, RootEmulation};
-use zr_kernel::{HookVerdict, Kernel, Pid, SysCall, SyscallHook};
-use zr_vfs::inode::Stat;
+use zr_kernel::{HookVerdict, Ids, Kernel, Pid, SysCall, SyscallHook};
 
 // ---------------------------------------------------------------------
 // daemon
 // ---------------------------------------------------------------------
 
-enum DbReq {
-    SetOwner {
-        ino: u64,
-        uid: Option<u32>,
-        gid: Option<u32>,
-    },
-    SetPerm {
-        ino: u64,
-        perm: u32,
-    },
-    SetDevice {
-        ino: u64,
-        type_bits: u32,
-        dev: u64,
-    },
-    SetXattr {
-        ino: u64,
-        name: String,
-        value: Vec<u8>,
-    },
-    GetXattr {
-        ino: u64,
-        name: String,
-        reply: SyncSender<Option<Vec<u8>>>,
-    },
-    RemoveXattr {
-        ino: u64,
-        name: String,
-        reply: SyncSender<bool>,
-    },
-    OverlayStat {
-        st: Stat,
-        reply: SyncSender<Stat>,
-    },
-    Forget {
-        ino: u64,
-    },
-    Len {
-        reply: SyncSender<usize>,
-    },
-    Shutdown,
-}
+/// One request to the daemon: run against its database, reply inside.
+type Job = Box<dyn FnOnce(&mut StateDb) + Send>;
 
 /// The state-keeping daemon: a thread owning the [`StateDb`], spoken to
-/// over channels — the faked-environment "single source of lies".
+/// over a channel — the faked-environment "single source of lies". It
+/// runs each [`OverlayStore::with_db`] closure it receives and exits
+/// when the sending side drops.
 pub struct FakerootDaemon {
-    tx: SyncSender<DbReq>,
+    tx: Option<SyncSender<Job>>,
     handle: Option<JoinHandle<()>>,
     /// Round trips performed (mirrors into kernel counters at teardown).
     pub round_trips: u64,
@@ -83,108 +44,46 @@ pub struct FakerootDaemon {
 impl FakerootDaemon {
     /// Spawn the daemon thread.
     pub fn spawn() -> FakerootDaemon {
-        let (tx, rx) = sync_channel::<DbReq>(0); // rendezvous: a true round trip
+        let (tx, rx) = sync_channel::<Job>(0); // rendezvous: a true round trip
         let handle = std::thread::spawn(move || {
             let mut db = StateDb::new();
-            while let Ok(req) = rx.recv() {
-                match req {
-                    DbReq::SetOwner { ino, uid, gid } => db.set_owner(ino, uid, gid),
-                    DbReq::SetPerm { ino, perm } => db.set_perm(ino, perm),
-                    DbReq::SetDevice {
-                        ino,
-                        type_bits,
-                        dev,
-                    } => db.set_device(ino, type_bits, dev),
-                    DbReq::SetXattr { ino, name, value } => db.set_xattr(ino, &name, value),
-                    DbReq::GetXattr { ino, name, reply } => {
-                        let _ = reply.send(db.get_xattr(ino, &name));
-                    }
-                    DbReq::RemoveXattr { ino, name, reply } => {
-                        let _ = reply.send(db.remove_xattr(ino, &name));
-                    }
-                    DbReq::OverlayStat { st, reply } => {
-                        let _ = reply.send(db.overlay_stat(st));
-                    }
-                    DbReq::Forget { ino } => db.forget(ino),
-                    DbReq::Len { reply } => {
-                        let _ = reply.send(db.len());
-                    }
-                    DbReq::Shutdown => break,
-                }
+            while let Ok(job) = rx.recv() {
+                job(&mut db);
             }
         });
         FakerootDaemon {
-            tx,
+            tx: Some(tx),
             handle: Some(handle),
             round_trips: 0,
         }
     }
 
-    fn send(&mut self, req: DbReq) {
-        self.round_trips += 1;
-        self.tx.send(req).expect("daemon alive");
-    }
-
     /// Entries currently in the daemon's database.
     pub fn db_len(&mut self) -> usize {
-        let (rtx, rrx) = sync_channel(1);
-        self.send(DbReq::Len { reply: rtx });
-        rrx.recv().expect("daemon replies")
+        self.with_db(|db| db.len())
     }
 }
 
 impl OverlayStore for FakerootDaemon {
-    fn set_owner(&mut self, ino: u64, uid: Option<u32>, gid: Option<u32>) {
-        self.send(DbReq::SetOwner { ino, uid, gid });
-    }
-    fn set_perm(&mut self, ino: u64, perm: u32) {
-        self.send(DbReq::SetPerm { ino, perm });
-    }
-    fn set_device(&mut self, ino: u64, type_bits: u32, dev: u64) {
-        self.send(DbReq::SetDevice {
-            ino,
-            type_bits,
-            dev,
+    /// One counted round trip: send `f` to the daemon, wait for its result.
+    fn with_db<R: Send + 'static>(
+        &mut self,
+        f: impl FnOnce(&mut StateDb) -> R + Send + 'static,
+    ) -> R {
+        self.round_trips += 1;
+        let (reply, answer) = sync_channel(1);
+        let job: Job = Box::new(move |db| {
+            let _ = reply.send(f(db));
         });
-    }
-    fn set_xattr(&mut self, ino: u64, name: &str, value: Vec<u8>) {
-        self.send(DbReq::SetXattr {
-            ino,
-            name: name.into(),
-            value,
-        });
-    }
-    fn get_xattr(&mut self, ino: u64, name: &str) -> Option<Vec<u8>> {
-        let (rtx, rrx) = sync_channel(1);
-        self.send(DbReq::GetXattr {
-            ino,
-            name: name.into(),
-            reply: rtx,
-        });
-        rrx.recv().expect("daemon replies")
-    }
-    fn remove_xattr(&mut self, ino: u64, name: &str) -> bool {
-        let (rtx, rrx) = sync_channel(1);
-        self.send(DbReq::RemoveXattr {
-            ino,
-            name: name.into(),
-            reply: rtx,
-        });
-        rrx.recv().expect("daemon replies")
-    }
-    fn overlay_stat(&mut self, st: Stat) -> Stat {
-        let (rtx, rrx) = sync_channel(1);
-        self.send(DbReq::OverlayStat { st, reply: rtx });
-        rrx.recv().expect("daemon replies")
-    }
-    fn forget(&mut self, ino: u64) {
-        self.send(DbReq::Forget { ino });
+        let tx = self.tx.as_ref().expect("daemon alive until drop");
+        tx.send(job).expect("daemon alive");
+        answer.recv().expect("daemon replies")
     }
 }
 
 impl Drop for FakerootDaemon {
     fn drop(&mut self) {
-        let _ = self.tx.send(DbReq::Shutdown);
+        drop(self.tx.take()); // the daemon's loop ends with the channel
         if let Some(h) = self.handle.take() {
             let _ = h.join();
         }
@@ -199,7 +98,7 @@ impl Drop for FakerootDaemon {
 /// dynamically linked processes whose environment carries the preload.
 pub struct FakerootHook {
     daemon: FakerootDaemon,
-    ids: FakeIds,
+    ids: Ids,
 }
 
 impl FakerootHook {
@@ -207,7 +106,7 @@ impl FakerootHook {
     pub fn new() -> FakerootHook {
         FakerootHook {
             daemon: FakerootDaemon::spawn(),
-            ids: FakeIds::default(),
+            ids: Ids::default(),
         }
     }
 }
@@ -228,10 +127,6 @@ impl SyscallHook for FakerootHook {
             }
             None => HookVerdict::PassThrough,
         }
-    }
-
-    fn name(&self) -> &'static str {
-        "fakeroot-preload"
     }
 }
 
@@ -435,7 +330,18 @@ mod tests {
     fn daemon_db_len_queryable() {
         let mut d = FakerootDaemon::spawn();
         assert_eq!(d.db_len(), 0);
-        d.set_owner(5, Some(1), Some(1));
+        d.with_db(|db| db.set_owner(5, Some(1), Some(1)));
         assert_eq!(d.db_len(), 1);
+    }
+
+    #[test]
+    fn each_with_db_is_one_round_trip() {
+        let mut d = FakerootDaemon::spawn();
+        for n in 1..=5u64 {
+            d.with_db(move |db| db.set_perm(n, 0o4755));
+            assert_eq!(d.round_trips, n);
+        }
+        assert_eq!(d.with_db(|db| db.len()), 5, "the daemon kept each write");
+        assert_eq!(d.round_trips, 6);
     }
 }

@@ -4,47 +4,33 @@
 //! but *emulate the same calls the same way*: pretend to be root, record
 //! metadata changes in a state store, and overlay that state onto reads.
 //! This module holds the one implementation both wrap around their
-//! respective stores.
+//! respective stores. The pretended identity is a [`zr_kernel::Ids`],
+//! the same type the kernel answers get\*id from and `seccomp+ids`
+//! remembers faked set\*id calls in; the pretended metadata is a
+//! [`StateDb`], reached through [`OverlayStore::with_db`].
 
-use zr_kernel::{Kernel, Pid, SysCall, SysResult, SysRet};
+use crate::statedb::StateDb;
+use zr_kernel::{Ids, Kernel, Pid, SysCall, SysResult, SysRet};
 use zr_syscalls::{mode, Errno};
-use zr_vfs::inode::Stat;
+use zr_vfs::inode::{Ino, Stat};
 
-/// The pretended identity of processes under consistent emulation.
-///
-/// This is the state that makes apt work under fakeroot/PRoot (§6:
-/// "a process under emulation can make changes to identity … and have the
-/// emulated changes reflected back later … sometimes it does matter,
-/// e.g., apt"): set\*id calls update it, get\*id calls report it.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct FakeIds {
-    /// (ruid, euid, suid) the process believes it has.
-    pub uids: (u32, u32, u32),
-    /// (rgid, egid, sgid).
-    pub gids: (u32, u32, u32),
-    /// Supplementary groups.
-    pub groups: Vec<u32>,
+/// Where an emulator keeps its [`StateDb`] of pretended metadata: in its
+/// own memory for PRoot, in a daemon thread for fakeroot.
+pub trait OverlayStore {
+    /// Run `f` against the database and return its result.
+    fn with_db<R: Send + 'static>(
+        &mut self,
+        f: impl FnOnce(&mut StateDb) -> R + Send + 'static,
+    ) -> R;
 }
 
-/// Access to wherever the emulator keeps its pretended metadata (a local
-/// map for PRoot, a daemon process for fakeroot).
-pub trait OverlayStore {
-    /// Record a faked ownership change.
-    fn set_owner(&mut self, ino: u64, uid: Option<u32>, gid: Option<u32>);
-    /// Record a faked permission change.
-    fn set_perm(&mut self, ino: u64, perm: u32);
-    /// Record a faked device node whose real backing is `ino`.
-    fn set_device(&mut self, ino: u64, type_bits: u32, dev: u64);
-    /// Record a faked xattr.
-    fn set_xattr(&mut self, ino: u64, name: &str, value: Vec<u8>);
-    /// Read a faked xattr.
-    fn get_xattr(&mut self, ino: u64, name: &str) -> Option<Vec<u8>>;
-    /// Remove a faked xattr; true if one existed.
-    fn remove_xattr(&mut self, ino: u64, name: &str) -> bool;
-    /// Overlay pretended metadata onto a stat result.
-    fn overlay_stat(&mut self, st: Stat) -> Stat;
-    /// Drop all state for an inode (unlinked).
-    fn forget(&mut self, ino: u64);
+impl OverlayStore for StateDb {
+    fn with_db<R: Send + 'static>(
+        &mut self,
+        f: impl FnOnce(&mut StateDb) -> R + Send + 'static,
+    ) -> R {
+        f(self)
+    }
 }
 
 fn real(k: &mut Kernel, pid: Pid, call: SysCall) -> SysResult<SysRet> {
@@ -69,73 +55,17 @@ pub fn emulate_call(
     k: &mut Kernel,
     pid: Pid,
     call: &SysCall,
-    store: &mut dyn OverlayStore,
-    ids: &mut FakeIds,
+    store: &mut impl OverlayStore,
+    ids: &mut Ids,
 ) -> Option<SysResult<SysRet>> {
+    // ---- consistent identity: reads report what writes pretended --------
+    if let Some(ret) = ids.answer(call) {
+        return Some(Ok(ret));
+    }
+    if ids.apply(call) {
+        return Some(Ok(SysRet::Unit));
+    }
     match call {
-        // ---- consistent identity: reads report what writes pretended ----
-        SysCall::Getuid => Some(Ok(SysRet::Id(ids.uids.0))),
-        SysCall::Geteuid => Some(Ok(SysRet::Id(ids.uids.1))),
-        SysCall::Getgid => Some(Ok(SysRet::Id(ids.gids.0))),
-        SysCall::Getegid => Some(Ok(SysRet::Id(ids.gids.1))),
-        SysCall::Getresuid => Some(Ok(SysRet::Triple(ids.uids.0, ids.uids.1, ids.uids.2))),
-        SysCall::Getresgid => Some(Ok(SysRet::Triple(ids.gids.0, ids.gids.1, ids.gids.2))),
-        SysCall::Getgroups => Some(Ok(SysRet::Groups(ids.groups.clone()))),
-
-        SysCall::Setuid { uid } => {
-            ids.uids = (*uid, *uid, *uid);
-            Some(Ok(SysRet::Unit))
-        }
-        SysCall::Setgid { gid } => {
-            ids.gids = (*gid, *gid, *gid);
-            Some(Ok(SysRet::Unit))
-        }
-        SysCall::Setreuid { r, e } => {
-            if let Some(r) = r {
-                ids.uids.0 = *r;
-            }
-            if let Some(e) = e {
-                ids.uids.1 = *e;
-            }
-            Some(Ok(SysRet::Unit))
-        }
-        SysCall::Setregid { r, e } => {
-            if let Some(r) = r {
-                ids.gids.0 = *r;
-            }
-            if let Some(e) = e {
-                ids.gids.1 = *e;
-            }
-            Some(Ok(SysRet::Unit))
-        }
-        SysCall::Setresuid { r, e, s } => {
-            if let Some(r) = r {
-                ids.uids.0 = *r;
-            }
-            if let Some(e) = e {
-                ids.uids.1 = *e;
-            }
-            if let Some(s) = s {
-                ids.uids.2 = *s;
-            }
-            Some(Ok(SysRet::Unit))
-        }
-        SysCall::Setresgid { r, e, s } => {
-            if let Some(r) = r {
-                ids.gids.0 = *r;
-            }
-            if let Some(e) = e {
-                ids.gids.1 = *e;
-            }
-            if let Some(s) = s {
-                ids.gids.2 = *s;
-            }
-            Some(Ok(SysRet::Unit))
-        }
-        SysCall::Setgroups { groups } => {
-            ids.groups = groups.clone();
-            Some(Ok(SysRet::Unit))
-        }
         SysCall::Capset { .. } => Some(Ok(SysRet::Unit)),
 
         // ---- metadata writes: record the lie ----------------------------
@@ -161,18 +91,24 @@ pub fn emulate_call(
         }
         SysCall::Setxattr { path, name, value } => Some(match real_stat(k, pid, path, true) {
             Ok(st) => {
-                store.set_xattr(st.ino, name, value.clone());
+                let (name, value) = (name.clone(), value.clone());
+                store.with_db(move |db| db.set_xattr(st.ino, &name, value));
                 Ok(SysRet::Unit)
             }
             Err(e) => Err(e),
         }),
         SysCall::Getxattr { path, name } => match real_stat(k, pid, path, true) {
-            Ok(st) => store.get_xattr(st.ino, name).map(|v| Ok(SysRet::Bytes(v))),
+            Ok(st) => {
+                let name = name.clone();
+                let value = store.with_db(move |db| db.get_xattr(st.ino, &name));
+                value.map(|v| Ok(SysRet::Bytes(v)))
+            }
             Err(e) => Some(Err(e)),
         },
         SysCall::Removexattr { path, name } => match real_stat(k, pid, path, true) {
             Ok(st) => {
-                if store.remove_xattr(st.ino, name) {
+                let name = name.clone();
+                if store.with_db(move |db| db.remove_xattr(st.ino, &name)) {
                     Some(Ok(SysRet::Unit))
                 } else {
                     None // fall through to the real (probably ENODATA)
@@ -183,50 +119,69 @@ pub fn emulate_call(
 
         // ---- metadata reads: overlay the lie ------------------------------
         SysCall::Stat { path } => Some(match real_stat(k, pid, path, true) {
-            Ok(st) => Ok(SysRet::Stat(store.overlay_stat(st))),
+            Ok(st) => Ok(SysRet::Stat(store.with_db(move |db| db.overlay_stat(st)))),
             Err(e) => Err(e),
         }),
         SysCall::Lstat { path } => Some(match real_stat(k, pid, path, false) {
-            Ok(st) => Ok(SysRet::Stat(store.overlay_stat(st))),
+            Ok(st) => Ok(SysRet::Stat(store.with_db(move |db| db.overlay_stat(st)))),
             Err(e) => Err(e),
         }),
 
         // ---- state hygiene ---------------------------------------------------
-        SysCall::Unlink { path } => {
-            let before = real_stat(k, pid, path, false);
-            let result = real(k, pid, call.clone());
-            if result.is_ok() {
-                if let Ok(st) = before {
-                    if st.nlink <= 1 {
-                        store.forget(st.ino);
-                    }
-                }
-            }
-            Some(result)
+        SysCall::Unlink { path } | SysCall::Rmdir { path } => {
+            Some(remove_name(k, pid, store, call, path, None))
+        }
+        SysCall::Rename { old, new } => {
+            let moving = real_stat(k, pid, old, false).ok().map(|st| st.ino);
+            Some(remove_name(k, pid, store, call, new, moving))
         }
 
         _ => None,
     }
 }
 
+/// Run `call`, which removes the name `path`, and forget the overlay of
+/// the inode behind that name if the call freed it: the VFS recycles
+/// inode numbers, so a lie left behind would stick to the next file
+/// created. An inode is freed with its last link (the VFS gives every
+/// directory one); `moving` is the inode a rename puts under `path`,
+/// which lives on.
+fn remove_name(
+    k: &mut Kernel,
+    pid: Pid,
+    store: &mut impl OverlayStore,
+    call: &SysCall,
+    path: &str,
+    moving: Option<Ino>,
+) -> SysResult<SysRet> {
+    let victim = real_stat(k, pid, path, false);
+    let result = real(k, pid, call.clone());
+    if let (Ok(_), Ok(st)) = (&result, victim) {
+        if st.nlink <= 1 && Some(st.ino) != moving {
+            store.with_db(move |db| db.forget(st.ino));
+        }
+    }
+    result
+}
+
 fn emulate_chown(
     k: &mut Kernel,
     pid: Pid,
-    store: &mut dyn OverlayStore,
+    store: &mut impl OverlayStore,
     path: &str,
     uid: Option<u32>,
     gid: Option<u32>,
     follow: bool,
 ) -> SysResult<SysRet> {
     let st = real_stat(k, pid, path, follow)?; // ENOENT etc. stay honest
-    store.set_owner(st.ino, uid, gid);
+    store.with_db(move |db| db.set_owner(st.ino, uid, gid));
     Ok(SysRet::Unit)
 }
 
 fn emulate_chmod(
     k: &mut Kernel,
     pid: Pid,
-    store: &mut dyn OverlayStore,
+    store: &mut impl OverlayStore,
     path: &str,
     perm: u32,
 ) -> SysResult<SysRet> {
@@ -242,14 +197,14 @@ fn emulate_chmod(
             perm,
         },
     );
-    store.set_perm(st.ino, perm);
+    store.with_db(move |db| db.set_perm(st.ino, perm));
     Ok(SysRet::Unit)
 }
 
 fn emulate_mknod_device(
     k: &mut Kernel,
     pid: Pid,
-    store: &mut dyn OverlayStore,
+    store: &mut impl OverlayStore,
     path: &str,
     m: u32,
     dev: u64,
@@ -268,7 +223,7 @@ fn emulate_mknod_device(
         Err(e) => return Err(e),
     }
     let st = real_stat(k, pid, path, false)?;
-    store.set_device(st.ino, mode::file_type(m), dev);
+    store.with_db(move |db| db.set_device(st.ino, mode::file_type(m), dev));
     Ok(SysRet::Unit)
 }
 
@@ -305,5 +260,7 @@ pub fn is_interesting(call: &SysCall) -> bool {
             | SysCall::Stat { .. }
             | SysCall::Lstat { .. }
             | SysCall::Unlink { .. }
+            | SysCall::Rmdir { .. }
+            | SysCall::Rename { .. }
     )
 }

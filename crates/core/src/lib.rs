@@ -14,6 +14,15 @@
 //! a wider filter including the xattr calls (lets systemd install), and
 //! uid/gid-only consistency (retires the apt workaround).
 //!
+//! What a consistent emulator remembers is written once. Identity is a
+//! [`zr_kernel::Ids`]: the type the kernel answers get\*id from and
+//! `seccomp+ids` keeps, so ids-only consistency is the full emulators'
+//! identity behaviour by construction. Metadata is a
+//! [`statedb::StateDb`], which fakeroot and PRoot both reach through
+//! [`interpose::OverlayStore::with_db`] — in the tracer's own memory for
+//! PRoot, one daemon round trip away for fakeroot. Both run the same
+//! [`interpose::emulate_call`].
+//!
 //! A strategy's job is exactly Charliecloud's `--force` hook: *prepare a
 //! container process before a RUN instruction executes in it* — install a
 //! filter, preload a shim, or attach a tracer — and disarm it afterwards.

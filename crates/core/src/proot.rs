@@ -11,50 +11,15 @@
 //!   marks only the syscalls the tracer cares about, so uninteresting
 //!   calls run at full speed and only emulated ones pay the stops.
 
-use crate::interpose::{emulate_call, is_interesting, FakeIds, OverlayStore};
+use crate::interpose::{emulate_call, is_interesting};
 use crate::statedb::StateDb;
 use crate::strategy::{PrepareEnv, PrepareError, RootEmulation};
-use zr_kernel::{HookVerdict, Kernel, Pid, SysCall, SyscallHook};
-use zr_vfs::inode::Stat;
+use zr_kernel::{HookVerdict, Ids, Kernel, Pid, SysCall, SyscallHook};
 
-/// Local (in-tracer) overlay store: PRoot keeps state in its own memory,
-/// no daemon needed.
-#[derive(Default)]
-struct LocalStore {
-    db: StateDb,
-}
-
-impl OverlayStore for LocalStore {
-    fn set_owner(&mut self, ino: u64, uid: Option<u32>, gid: Option<u32>) {
-        self.db.set_owner(ino, uid, gid);
-    }
-    fn set_perm(&mut self, ino: u64, perm: u32) {
-        self.db.set_perm(ino, perm);
-    }
-    fn set_device(&mut self, ino: u64, type_bits: u32, dev: u64) {
-        self.db.set_device(ino, type_bits, dev);
-    }
-    fn set_xattr(&mut self, ino: u64, name: &str, value: Vec<u8>) {
-        self.db.set_xattr(ino, name, value);
-    }
-    fn get_xattr(&mut self, ino: u64, name: &str) -> Option<Vec<u8>> {
-        self.db.get_xattr(ino, name)
-    }
-    fn remove_xattr(&mut self, ino: u64, name: &str) -> bool {
-        self.db.remove_xattr(ino, name)
-    }
-    fn overlay_stat(&mut self, st: Stat) -> Stat {
-        self.db.overlay_stat(st)
-    }
-    fn forget(&mut self, ino: u64) {
-        self.db.forget(ino);
-    }
-}
-
-/// The tracer hook.
+/// The tracer hook. PRoot keeps its state in its own memory: no daemon.
 pub struct ProotHook {
-    store: LocalStore,
-    ids: FakeIds,
+    db: StateDb,
+    ids: Ids,
     accelerated: bool,
 }
 
@@ -62,8 +27,8 @@ impl ProotHook {
     /// Classic full-stop tracer.
     pub fn classic() -> ProotHook {
         ProotHook {
-            store: LocalStore::default(),
-            ids: FakeIds::default(),
+            db: StateDb::new(),
+            ids: Ids::default(),
             accelerated: false,
         }
     }
@@ -71,8 +36,8 @@ impl ProotHook {
     /// Seccomp-accelerated tracer.
     pub fn accelerated() -> ProotHook {
         ProotHook {
-            store: LocalStore::default(),
-            ids: FakeIds::default(),
+            db: StateDb::new(),
+            ids: Ids::default(),
             accelerated: true,
         }
     }
@@ -91,17 +56,9 @@ impl SyscallHook for ProotHook {
         if !interesting {
             return HookVerdict::PassThrough;
         }
-        match emulate_call(kernel, pid, call, &mut self.store, &mut self.ids) {
+        match emulate_call(kernel, pid, call, &mut self.db, &mut self.ids) {
             Some(result) => HookVerdict::Emulated(result),
             None => HookVerdict::PassThrough,
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        if self.accelerated {
-            "proot-accel"
-        } else {
-            "proot"
         }
     }
 }

@@ -3,57 +3,84 @@
 //! Preparation is exactly the sequence §5 describes: compile the filter
 //! from the syscall table, set `no_new_privs`, install, then *validate by
 //! calling `kexec_load(2)`* — a syscall an HPC build will never truly
-//! need, so observing its fake success proves the filter is live.
+//! need, so observing its fake success proves the filter is live. The
+//! compile happens once per process and filter; each RUN installs a copy
+//! of the program.
+
+use std::sync::OnceLock;
 
 use crate::strategy::{PrepareEnv, PrepareError, RootEmulation};
+use zr_bpf::Program;
 use zr_kernel::{Kernel, Pid, SysExt};
 use zr_seccomp::spec::{self, FilterSpec};
+use zr_seccomp::CompileError;
 use zr_syscalls::Arch;
+
+/// A built-in filter spec and the program compiled from it. Neither
+/// changes within a process, so each is built once, on first use.
+#[derive(Debug)]
+struct Filter {
+    spec: FilterSpec,
+    program: Result<Program, CompileError>,
+}
+
+/// The §5 filter, shared by `seccomp` and `seccomp+ids`.
+static PAPER: OnceLock<Filter> = OnceLock::new();
+/// The xattr-widened filter of `seccomp+xattr`.
+static XATTR: OnceLock<Filter> = OnceLock::new();
 
 /// The seccomp strategy, in its paper form or a §6 future-work variant.
 #[derive(Debug, Clone)]
 pub struct SeccompEmulation {
-    spec: FilterSpec,
+    filter: &'static Filter,
     id_consistency: bool,
 }
 
 impl SeccompEmulation {
+    fn built_in(
+        cell: &'static OnceLock<Filter>,
+        spec: fn(&[Arch]) -> FilterSpec,
+        id_consistency: bool,
+    ) -> SeccompEmulation {
+        let filter = cell.get_or_init(|| {
+            let spec = spec(&Arch::ALL);
+            let program = zr_seccomp::compile(&spec);
+            Filter { spec, program }
+        });
+        SeccompEmulation {
+            filter,
+            id_consistency,
+        }
+    }
+
     /// §5 as published: 29 syscalls, all six architectures, ERRNO(0).
     pub fn paper() -> SeccompEmulation {
-        SeccompEmulation {
-            spec: spec::zero_consistency(&Arch::ALL),
-            id_consistency: false,
-        }
+        SeccompEmulation::built_in(&PAPER, spec::zero_consistency, false)
     }
 
     /// Future work (1): also fake the xattr calls so systemd-style
     /// packages install.
     pub fn with_xattr() -> SeccompEmulation {
-        SeccompEmulation {
-            spec: spec::zero_consistency_with_xattr(&Arch::ALL),
-            id_consistency: false,
-        }
+        SeccompEmulation::built_in(&XATTR, spec::zero_consistency_with_xattr, false)
     }
 
     /// Future work (2): keep uid/gid *reads* consistent with faked set*id
     /// calls, so apt's privilege-drop verification passes without the
     /// command-line workaround.
     pub fn with_id_consistency() -> SeccompEmulation {
-        SeccompEmulation {
-            spec: spec::zero_consistency(&Arch::ALL),
-            id_consistency: true,
-        }
+        SeccompEmulation::built_in(&PAPER, spec::zero_consistency, true)
     }
 
     /// The filter spec in use (benches compile it at various widths).
     pub fn spec(&self) -> &FilterSpec {
-        &self.spec
+        &self.filter.spec
     }
 }
 
 impl RootEmulation for SeccompEmulation {
     fn prepare(&self, k: &mut Kernel, pid: Pid, _env: &PrepareEnv) -> Result<(), PrepareError> {
-        let prog = zr_seccomp::compile(&self.spec).map_err(|_| PrepareError::SelfTestFailed)?;
+        let prog = self.filter.program.as_ref();
+        let prog = prog.map_err(|_| PrepareError::SelfTestFailed)?.clone();
         let mut ctx = k.ctx(pid);
         ctx.set_no_new_privs()
             .map_err(|_| PrepareError::Sys(zr_syscalls::Errno::EACCES))?;

@@ -27,15 +27,6 @@ pub struct Overlay {
 }
 
 impl Overlay {
-    /// Is there anything to remember?
-    pub fn is_empty(&self) -> bool {
-        self.uid.is_none()
-            && self.gid.is_none()
-            && self.perm.is_none()
-            && self.device.is_none()
-            && self.xattrs.is_empty()
-    }
-
     /// Rewrite `st` to show the pretended metadata.
     pub fn apply(&self, mut st: Stat) -> Stat {
         if let Some(uid) = self.uid {
@@ -119,11 +110,6 @@ impl StateDb {
             .is_some_and(|o| o.xattrs.remove(name).is_some())
     }
 
-    /// Fetch the overlay for `ino`, if any.
-    pub fn get(&self, ino: Ino) -> Option<&Overlay> {
-        self.map.get(&ino)
-    }
-
     /// Apply any overlay to a stat result.
     pub fn overlay_stat(&self, st: Stat) -> Stat {
         match self.map.get(&st.ino) {
@@ -132,7 +118,7 @@ impl StateDb {
         }
     }
 
-    /// Forget an inode (it was unlinked; the number may be recycled).
+    /// Forget an inode (it was freed; the number may be recycled).
     pub fn forget(&mut self, ino: Ino) {
         self.map.remove(&ino);
     }

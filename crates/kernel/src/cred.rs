@@ -1,10 +1,12 @@
 //! Process credentials: uids, gids, groups, capability sets.
 //!
-//! All ids stored here are **kernel ids**; translation to and from the
-//! process's user namespace happens at the syscall boundary in
-//! `kernel.rs`, mirroring `struct cred` in Linux.
+//! All ids stored in a [`Cred`] are **kernel ids**; translation to and
+//! from the process's user namespace happens at the syscall boundary in
+//! `kernel.rs`, mirroring `struct cred` in Linux. [`Ids`] is a cred as
+//! seen from its namespace: what the get\*id calls report.
 
 use crate::ids::NsId;
+use crate::sys::{SysCall, SysRet};
 use zr_syscalls::caps::CapSet;
 
 /// A process's security context.
@@ -82,6 +84,65 @@ impl Cred {
     }
 }
 
+/// A process's identity in its own user namespace: the ids the get\*id
+/// calls report and the set\*id calls change.
+///
+/// The kernel answers get\*id from one derived from the real [`Cred`].
+/// Root emulators that remember a faked set\*id keep one per process as
+/// the identity it *believes* it has: fakeroot and PRoot (§3), and the
+/// `seccomp+ids` extension (§6 future work 2), which remembers nothing
+/// else. apt's privilege-drop check needs exactly this memory.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Ids {
+    /// (ruid, euid, suid).
+    pub uids: (u32, u32, u32),
+    /// (rgid, egid, sgid).
+    pub gids: (u32, u32, u32),
+    /// Supplementary groups.
+    pub groups: Vec<u32>,
+}
+
+impl Ids {
+    /// Record `call` as if it succeeded, when it is a set\*id call:
+    /// `setuid`/`setgid` set all three ids, the `setre*`/`setres*` calls
+    /// each id given as `Some`, and `setgroups` replaces the groups.
+    /// Any other call returns false and changes nothing.
+    pub fn apply(&mut self, call: &SysCall) -> bool {
+        fn set(ids: &mut (u32, u32, u32), r: Option<u32>, e: Option<u32>, s: Option<u32>) {
+            ids.0 = r.unwrap_or(ids.0);
+            ids.1 = e.unwrap_or(ids.1);
+            ids.2 = s.unwrap_or(ids.2);
+        }
+        match call {
+            SysCall::Setuid { uid } => self.uids = (*uid, *uid, *uid),
+            SysCall::Setgid { gid } => self.gids = (*gid, *gid, *gid),
+            SysCall::Setreuid { r, e } => set(&mut self.uids, *r, *e, None),
+            SysCall::Setregid { r, e } => set(&mut self.gids, *r, *e, None),
+            SysCall::Setresuid { r, e, s } => set(&mut self.uids, *r, *e, *s),
+            SysCall::Setresgid { r, e, s } => set(&mut self.gids, *r, *e, *s),
+            SysCall::Setgroups { groups } => self.groups.clone_from(groups),
+            _ => return false,
+        }
+        true
+    }
+
+    /// The reply to `call` when it is one of the seven get\*id calls;
+    /// `None` for any other call.
+    pub fn answer(&self, call: &SysCall) -> Option<SysRet> {
+        let (u, g) = (self.uids, self.gids);
+        Some(match call {
+            SysCall::Getuid => SysRet::Id(u.0),
+            SysCall::Geteuid => SysRet::Id(u.1),
+            SysCall::Getgid => SysRet::Id(g.0),
+            SysCall::Getegid => SysRet::Id(g.1),
+            SysCall::Getresuid => SysRet::Triple(u.0, u.1, u.2),
+            SysCall::Getresgid => SysRet::Triple(g.0, g.1, g.2),
+            SysCall::Getgroups => SysRet::Groups(self.groups.clone()),
+            _ => return None,
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -120,5 +181,95 @@ mod tests {
         c.groups.push(44);
         assert!(c.in_group(44));
         assert!(!c.in_group(45));
+    }
+
+    fn start() -> Ids {
+        Ids {
+            uids: (1, 2, 3),
+            gids: (4, 5, 6),
+            groups: vec![7],
+        }
+    }
+
+    #[test]
+    fn set_id_calls_set_each_given_id() {
+        let (n, a, b, c) = (None, Some(7), Some(8), Some(9));
+        let (uids, gids) = ((1, 2, 3), (4, 5, 6));
+        let cases = [
+            (SysCall::Setuid { uid: 9 }, (9, 9, 9), gids),
+            (SysCall::Setgid { gid: 9 }, uids, (9, 9, 9)),
+            (SysCall::Setreuid { r: a, e: b }, (7, 8, 3), gids),
+            (SysCall::Setreuid { r: a, e: n }, (7, 2, 3), gids),
+            (SysCall::Setreuid { r: n, e: b }, (1, 8, 3), gids),
+            (SysCall::Setreuid { r: n, e: n }, uids, gids),
+            (SysCall::Setregid { r: a, e: b }, uids, (7, 8, 6)),
+            (SysCall::Setregid { r: a, e: n }, uids, (7, 5, 6)),
+            (SysCall::Setregid { r: n, e: b }, uids, (4, 8, 6)),
+            (SysCall::Setregid { r: n, e: n }, uids, gids),
+            (SysCall::Setresuid { r: a, e: b, s: c }, (7, 8, 9), gids),
+            (SysCall::Setresuid { r: n, e: b, s: n }, (1, 8, 3), gids),
+            (SysCall::Setresuid { r: a, e: n, s: c }, (7, 2, 9), gids),
+            (SysCall::Setresuid { r: n, e: n, s: n }, uids, gids),
+            (SysCall::Setresgid { r: a, e: b, s: c }, uids, (7, 8, 9)),
+            (SysCall::Setresgid { r: n, e: b, s: n }, uids, (4, 8, 6)),
+            (SysCall::Setresgid { r: a, e: n, s: c }, uids, (7, 5, 9)),
+            (SysCall::Setresgid { r: n, e: n, s: n }, uids, gids),
+        ];
+        for (call, want_uids, want_gids) in cases {
+            let mut ids = start();
+            assert!(ids.apply(&call), "{call:?}");
+            let want = (want_uids, want_gids, vec![7]);
+            assert_eq!((ids.uids, ids.gids, ids.groups), want, "{call:?}");
+        }
+    }
+
+    #[test]
+    fn setgroups_replaces_the_groups() {
+        for groups in [vec![10, 11], vec![]] {
+            let mut ids = start();
+            let call = SysCall::Setgroups {
+                groups: groups.clone(),
+            };
+            assert!(ids.apply(&call));
+            assert_eq!(ids, Ids { groups, ..start() });
+        }
+    }
+
+    #[test]
+    fn answers_each_get_id_call() {
+        let ids = start();
+        let answer = |call| ids.answer(&call);
+        assert_eq!(answer(SysCall::Getuid), Some(SysRet::Id(1)));
+        assert_eq!(answer(SysCall::Geteuid), Some(SysRet::Id(2)));
+        assert_eq!(answer(SysCall::Getgid), Some(SysRet::Id(4)));
+        assert_eq!(answer(SysCall::Getegid), Some(SysRet::Id(5)));
+        assert_eq!(answer(SysCall::Getresuid), Some(SysRet::Triple(1, 2, 3)));
+        assert_eq!(answer(SysCall::Getresgid), Some(SysRet::Triple(4, 5, 6)));
+        assert_eq!(answer(SysCall::Getgroups), Some(SysRet::Groups(vec![7])));
+    }
+
+    #[test]
+    fn other_calls_are_not_ids_business() {
+        let others = [
+            SysCall::Getpid,
+            SysCall::Setfsuid { uid: 9 },
+            SysCall::Setfsgid { gid: 9 },
+            SysCall::Chown {
+                path: "/f".into(),
+                uid: Some(9),
+                gid: Some(9),
+            },
+            SysCall::Capget,
+        ];
+        for call in others {
+            let mut ids = start();
+            assert_eq!(ids.answer(&call), None, "{call:?}");
+            assert!(!ids.apply(&call), "{call:?}");
+            assert_eq!(ids, start(), "{call:?} changed nothing");
+        }
+        let mut ids = start();
+        assert!(!ids.apply(&SysCall::Getuid), "get*id records nothing");
+        assert_eq!(ids, start());
+        assert_eq!(ids.answer(&SysCall::Setuid { uid: 9 }), None);
     }
 }

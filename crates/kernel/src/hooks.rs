@@ -32,9 +32,4 @@ pub enum HookVerdict {
 pub trait SyscallHook: Send {
     /// Inspect (and possibly handle) `call` issued by `pid`.
     fn on_syscall(&mut self, kernel: &mut Kernel, pid: Pid, call: &SysCall) -> HookVerdict;
-
-    /// Short name for diagnostics.
-    fn name(&self) -> &'static str {
-        "hook"
-    }
 }

@@ -16,7 +16,7 @@
 use std::collections::HashMap;
 
 use crate::counters::Counters;
-use crate::cred::Cred;
+use crate::cred::{Cred, Ids};
 use crate::hooks::{HookVerdict, SyscallHook};
 use crate::ids::{NsId, NsTable};
 use crate::process::{FsId, Pid, Process};
@@ -40,19 +40,6 @@ const AT_FDCWD: u64 = (-100i64) as u64;
 const AT_SYMLINK_NOFOLLOW: u64 = 0x100;
 /// uid/gid value meaning "no change".
 const ID_UNCHANGED: u64 = u32::MAX as u64;
-
-/// Shadowed identity for the uid/gid-consistency extension (§6 future
-/// work 2): what the process *believes* its ids are after faked set*id
-/// calls.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ShadowIds {
-    /// Believed (ruid, euid, suid).
-    pub uids: (u32, u32, u32),
-    /// Believed (rgid, egid, sgid).
-    pub gids: (u32, u32, u32),
-    /// Believed supplementary groups.
-    pub groups: Vec<u32>,
-}
 
 /// A filesystem plus the user namespace that owns its superblock — the
 /// fact that decides whose capabilities count ([`NsTable::ns_capable`]).
@@ -115,8 +102,10 @@ pub struct Kernel {
     pub console: Vec<String>,
     preload_hook: Option<Box<dyn SyscallHook>>,
     tracer_hook: Option<Box<dyn SyscallHook>>,
-    shadow: HashMap<Pid, ShadowIds>,
-    id_consistency: HashMap<Pid, bool>,
+    /// The identity each process under the uid/gid-consistency
+    /// extension believes it has; a process is under it iff it has an
+    /// entry.
+    believed: HashMap<Pid, Ids>,
     /// `getrandom` stream position (blocks already handed out).
     rng_counter: u64,
 }
@@ -145,8 +134,7 @@ impl Kernel {
             console: Vec::new(),
             preload_hook: None,
             tracer_hook: None,
-            shadow: HashMap::new(),
-            id_consistency: HashMap::new(),
+            believed: HashMap::new(),
             rng_counter: 0,
         };
 
@@ -250,10 +238,13 @@ impl Kernel {
     }
 
     /// Enable the uid/gid-consistency extension for `pid` (§6 future
-    /// work 2): faked set*id calls update a shadow identity that get*id
-    /// calls then report.
+    /// work 2): from now on its faked set\*id calls are applied to the
+    /// [`Ids`] it believes it has, seeded with its observed ids, and its
+    /// get\*id calls report those. The programs it spawns start from
+    /// their own observed ids under the same extension.
     pub fn enable_id_consistency(&mut self, pid: Pid) {
-        self.id_consistency.insert(pid, true);
+        let ids = self.observed_ids(pid);
+        self.believed.insert(pid, ids);
     }
 
     /// Drain the console buffer.
@@ -343,7 +334,9 @@ impl Kernel {
             Action::Allow | Action::Log => {}
             Action::Errno(0) => {
                 self.counters.faked += 1;
-                self.on_faked(pid, &call);
+                if let Some(ids) = self.believed.get_mut(&pid) {
+                    ids.apply(&call);
+                }
                 self.trace.record(Record {
                     disposition: Disposition::FakedByFilter,
                     ..record
@@ -409,64 +402,11 @@ impl Kernel {
         result
     }
 
-    /// Track faked set*id calls for the id-consistency extension.
-    fn on_faked(&mut self, pid: Pid, call: &SysCall) {
-        if !self.id_consistency.get(&pid).copied().unwrap_or(false) {
-            return;
-        }
-        let current = self.observed_ids(pid);
-        let shadow = self.shadow.entry(pid).or_insert(current);
-        match call {
-            SysCall::Setuid { uid } => shadow.uids = (*uid, *uid, *uid),
-            SysCall::Setgid { gid } => shadow.gids = (*gid, *gid, *gid),
-            SysCall::Setresuid { r, e, s } => {
-                if let Some(r) = r {
-                    shadow.uids.0 = *r;
-                }
-                if let Some(e) = e {
-                    shadow.uids.1 = *e;
-                }
-                if let Some(s) = s {
-                    shadow.uids.2 = *s;
-                }
-            }
-            SysCall::Setresgid { r, e, s } => {
-                if let Some(r) = r {
-                    shadow.gids.0 = *r;
-                }
-                if let Some(e) = e {
-                    shadow.gids.1 = *e;
-                }
-                if let Some(s) = s {
-                    shadow.gids.2 = *s;
-                }
-            }
-            SysCall::Setreuid { r, e } => {
-                if let Some(r) = r {
-                    shadow.uids.0 = *r;
-                }
-                if let Some(e) = e {
-                    shadow.uids.1 = *e;
-                }
-            }
-            SysCall::Setregid { r, e } => {
-                if let Some(r) = r {
-                    shadow.gids.0 = *r;
-                }
-                if let Some(e) = e {
-                    shadow.gids.1 = *e;
-                }
-            }
-            SysCall::Setgroups { groups } => shadow.groups = groups.clone(),
-            _ => {}
-        }
-    }
-
     /// The ids a process currently observes (ns-local view of its cred).
-    fn observed_ids(&self, pid: Pid) -> ShadowIds {
+    fn observed_ids(&self, pid: Pid) -> Ids {
         let p = self.process(pid);
         let ns = self.namespaces.get(p.cred.userns);
-        ShadowIds {
+        Ids {
             uids: (
                 ns.from_kuid(p.cred.ruid),
                 ns.from_kuid(p.cred.euid),
@@ -745,46 +685,20 @@ impl Kernel {
             }
 
             // ---- identity queries (never privileged; zero consistency means
-            // these tell the truth) ---------------------------------------------
-            SysCall::Getuid => Ok(SysRet::Id(self.shadowed_or(
-                pid,
-                |s| s.uids.0,
-                |k, p| k.namespaces.get(p.cred.userns).from_kuid(p.cred.ruid),
-            ))),
-            SysCall::Geteuid => Ok(SysRet::Id(self.shadowed_or(
-                pid,
-                |s| s.uids.1,
-                |k, p| k.namespaces.get(p.cred.userns).from_kuid(p.cred.euid),
-            ))),
-            SysCall::Getgid => Ok(SysRet::Id(self.shadowed_or(
-                pid,
-                |s| s.gids.0,
-                |k, p| k.namespaces.get(p.cred.userns).from_kgid(p.cred.rgid),
-            ))),
-            SysCall::Getegid => Ok(SysRet::Id(self.shadowed_or(
-                pid,
-                |s| s.gids.1,
-                |k, p| k.namespaces.get(p.cred.userns).from_kgid(p.cred.egid),
-            ))),
-            SysCall::Getresuid => {
-                if let Some(s) = self.shadow_of(pid) {
-                    return Ok(SysRet::Triple(s.uids.0, s.uids.1, s.uids.2));
-                }
-                let ids = self.observed_ids(pid);
-                Ok(SysRet::Triple(ids.uids.0, ids.uids.1, ids.uids.2))
-            }
-            SysCall::Getresgid => {
-                if let Some(s) = self.shadow_of(pid) {
-                    return Ok(SysRet::Triple(s.gids.0, s.gids.1, s.gids.2));
-                }
-                let ids = self.observed_ids(pid);
-                Ok(SysRet::Triple(ids.gids.0, ids.gids.1, ids.gids.2))
-            }
-            SysCall::Getgroups => {
-                if let Some(s) = self.shadow_of(pid) {
-                    return Ok(SysRet::Groups(s.groups.clone()));
-                }
-                Ok(SysRet::Groups(self.observed_ids(pid).groups))
+            // these tell the truth, the id-consistency extension that they
+            // repeat the believed ids) -------------------------------------------
+            SysCall::Getuid
+            | SysCall::Geteuid
+            | SysCall::Getgid
+            | SysCall::Getegid
+            | SysCall::Getresuid
+            | SysCall::Getresgid
+            | SysCall::Getgroups => {
+                let answer = match self.believed.get(&pid) {
+                    Some(believed) => believed.answer(&call),
+                    None => self.observed_ids(pid).answer(&call),
+                };
+                Ok(answer.expect("every get*id call has an answer"))
             }
 
             // ---- identity manipulation: filter class 2 when not faked ---------
@@ -915,23 +829,6 @@ impl Kernel {
                 }
                 Ok(SysRet::Bytes(out))
             }
-        }
-    }
-
-    fn shadow_of(&self, pid: Pid) -> Option<&ShadowIds> {
-        self.shadow.get(&pid)
-    }
-
-    fn shadowed_or(
-        &self,
-        pid: Pid,
-        pick: impl Fn(&ShadowIds) -> u32,
-        fallback: impl Fn(&Kernel, &Process) -> u32,
-    ) -> u32 {
-        if let Some(s) = self.shadow.get(&pid) {
-            pick(s)
-        } else {
-            fallback(self, self.process(pid))
         }
     }
 
@@ -1221,8 +1118,8 @@ impl Kernel {
             child.preload_active = true;
         }
         let child_pid = self.add_process(child);
-        if self.id_consistency.get(&parent).copied().unwrap_or(false) {
-            self.id_consistency.insert(child_pid, true);
+        if self.believed.contains_key(&parent) {
+            self.enable_id_consistency(child_pid);
         }
 
         let mut program = (entry.factory)();
@@ -1242,8 +1139,7 @@ impl Kernel {
         self.console.extend(exec_env.output);
 
         let killed = !self.process(child_pid).alive;
-        self.shadow.remove(&child_pid);
-        self.id_consistency.remove(&child_pid);
+        self.believed.remove(&child_pid);
         self.processes.remove(&child_pid);
 
         // SIGSYS/KILL by filter shows as 128+31 like a shell would report.

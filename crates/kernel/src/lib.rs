@@ -8,7 +8,10 @@
 //!   and the `ns_capable` walk — the machinery that makes capabilities in
 //!   an unprivileged namespace "an illusion" (§1 of the paper).
 //! * [`cred`] — per-process credentials: the four uids/gids, supplementary
-//!   groups, capability sets.
+//!   groups, capability sets; and [`Ids`], a cred as its namespace sees
+//!   it. `Ids` holds the one copy of the set\*id/get\*id rules: the
+//!   kernel's truthful answers, the `seccomp+ids` memory of faked set\*id
+//!   calls and the consistent emulators' pretended identity all use it.
 //! * [`sys`] — the syscall surface as a data type ([`sys::SysCall`]) plus
 //!   the [`sys::Sys`] trait, which is the *libc boundary*: simulated
 //!   programs call through `&mut dyn Sys`, which is how LD_PRELOAD-style
@@ -44,7 +47,7 @@ pub mod sys;
 
 pub use container::{ContainerConfig, ContainerType};
 pub use counters::Counters;
-pub use cred::Cred;
+pub use cred::{Cred, Ids};
 pub use hooks::{HookVerdict, SyscallHook};
 pub use ids::{IdMap, NsId, UserNs};
 pub use kernel::{Kernel, KernelConfig, SyscallCtx};

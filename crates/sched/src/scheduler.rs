@@ -410,9 +410,6 @@ fn merge_trace(into: &mut zr_trace::Stats, from: &zr_trace::Stats) {
     into.failed += from.failed;
     into.emulated += from.emulated;
     into.filter_steps += from.filter_steps;
-    for (name, count) in &from.by_sysno {
-        *into.by_sysno.entry(name).or_insert(0) += count;
-    }
 }
 
 /// Assemble a batch: plan every request, seed the queues with each

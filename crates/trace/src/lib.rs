@@ -9,7 +9,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use zr_syscalls::filtered::class_of;
 use zr_syscalls::{Errno, Sysno};
@@ -75,8 +74,6 @@ pub struct Stats {
     pub emulated: u64,
     /// Total BPF instructions executed.
     pub filter_steps: u64,
-    /// Per-syscall counts.
-    pub by_sysno: BTreeMap<&'static str, u64>,
 }
 
 /// A shared, thread-safe recorder. Cloning shares the buffer.
@@ -155,7 +152,6 @@ impl Tracer {
                 Disposition::Executed => {}
             }
             s.filter_steps += r.filter_steps;
-            *s.by_sysno.entry(r.sysno.name()).or_insert(0) += 1;
         }
         s
     }
@@ -206,7 +202,6 @@ mod tests {
         assert_eq!(s.failed, 1);
         assert_eq!(s.emulated, 1);
         assert_eq!(s.filter_steps, 28);
-        assert_eq!(s.by_sysno["chown"], 2);
     }
 
     #[test]

@@ -123,6 +123,100 @@ fn consistent_emulators_survive_unlink_recreate() {
 }
 
 #[test]
+fn consistent_emulators_forget_inodes_freed_by_rename_and_rmdir() {
+    // A rename over an existing name and an rmdir free an inode just as
+    // the last unlink does, and the VFS hands its number to the next
+    // file created.
+    for mode in [Mode::Fakeroot, Mode::Proot, Mode::ProotAccelerated] {
+        let (mut k, pid, strategy) = armed_container(mode);
+        {
+            let mut ctx = k.ctx(pid);
+            let owner = |ctx: &mut zeroroot::kernel::SyscallCtx<'_>, path: &str| {
+                let st = ctx.stat(path).unwrap();
+                (st.ino, st.uid, st.gid)
+            };
+            ctx.write_file("/a", 0o644, vec![]).unwrap();
+            ctx.chown("/a", 42, 43).unwrap();
+            ctx.write_file("/b", 0o644, vec![]).unwrap();
+            ctx.chown("/b", 44, 45).unwrap();
+            let (replaced, _, _) = owner(&mut ctx, "/a");
+            let (moved, _, _) = owner(&mut ctx, "/b");
+            ctx.rename("/b", "/a").unwrap();
+            assert_eq!(owner(&mut ctx, "/a"), (moved, 44, 45), "{mode:?}");
+            ctx.rename("/a", "/a").unwrap(); // onto itself: frees nothing
+            assert_eq!(owner(&mut ctx, "/a"), (moved, 44, 45), "{mode:?}");
+            ctx.write_file("/c", 0o644, vec![]).unwrap();
+            let (ino, uid, gid) = owner(&mut ctx, "/c");
+            assert_eq!(ino, replaced, "{mode:?}: the replaced inode is reused");
+            assert_eq!((uid, gid), (0, 0), "{mode:?}: stale overlay after rename");
+
+            ctx.mkdir("/d", 0o755).unwrap();
+            ctx.chown("/d", 42, 43).unwrap();
+            let (removed, _, _) = owner(&mut ctx, "/d");
+            ctx.rmdir("/d").unwrap();
+            ctx.write_file("/e", 0o644, vec![]).unwrap();
+            let (ino, uid, gid) = owner(&mut ctx, "/e");
+            assert_eq!(ino, removed, "{mode:?}: the removed inode is reused");
+            assert_eq!((uid, gid), (0, 0), "{mode:?}: stale overlay after rmdir");
+
+            // A replaced name whose inode has another link frees nothing.
+            ctx.link("/e", "/f").unwrap();
+            ctx.chown("/e", 46, 47).unwrap();
+            ctx.rename("/c", "/e").unwrap();
+            assert_eq!(owner(&mut ctx, "/f"), (removed, 46, 47), "{mode:?}");
+        }
+        strategy.teardown(&mut k);
+    }
+}
+
+#[test]
+fn ids_only_consistency_answers_like_the_full_emulators() {
+    // §6 future work 2 keeps exactly the identity half of the consistent
+    // emulators' memory: the same set*id sequence must read back the
+    // same under all four, and as the starting identity under the plain
+    // filter.
+    use zeroroot::kernel::{Sys, SysCall};
+
+    let consistent = [
+        Mode::SeccompIdConsistent,
+        Mode::Fakeroot,
+        Mode::Proot,
+        Mode::ProotAccelerated,
+    ];
+    for mode in consistent.into_iter().chain([Mode::Seccomp]) {
+        let (mut k, pid, strategy) = armed_container(mode);
+        let seen = {
+            let mut ctx = k.ctx(pid);
+            ctx.setgroups(&[4, 5]).unwrap();
+            ctx.setresgid(Some(65534), Some(65534), Some(65534))
+                .unwrap();
+            ctx.setresuid(Some(100), Some(100), Some(100)).unwrap();
+            ctx.call(SysCall::Setreuid {
+                r: None,
+                e: Some(7),
+            })
+            .unwrap();
+            ctx.call(SysCall::Setregid {
+                r: Some(8),
+                e: None,
+            })
+            .unwrap();
+            let (uids, gids) = (ctx.getresuid(), ctx.getresgid());
+            assert_eq!((ctx.getuid(), ctx.geteuid()), (uids.0, uids.1), "{mode:?}");
+            assert_eq!((ctx.getgid(), ctx.getegid()), (gids.0, gids.1), "{mode:?}");
+            (uids, gids, ctx.getgroups())
+        };
+        strategy.teardown(&mut k);
+        let expected = if mode == Mode::Seccomp {
+            ((0, 0, 0), (0, 0, 0), vec![])
+        } else {
+            ((100, 7, 100), (8, 65534, 65534), vec![4, 5])
+        };
+        assert_eq!(seen, expected, "{mode:?}");
+    }
+}
+
+#[test]
 fn fake_device_nodes_only_exist_in_the_story() {
     // fakeroot/proot: mknod produces a placeholder whose stat claims
     // device-ness; seccomp: mknod produces nothing at all.
