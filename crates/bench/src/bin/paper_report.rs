@@ -89,7 +89,7 @@ fn main() {
 
     // ---- F1a ---------------------------------------------------------
     let (r, k) = build_once(FIG1A, Mode::None);
-    let priv_calls = k.trace.stats().privileged;
+    let priv_calls = k.counters.privileged();
     checks.push(Check {
         id: "F1a",
         paper: "alpine apk build succeeds with --force=none, no privileged syscalls",
@@ -109,7 +109,7 @@ fn main() {
 
     // ---- F2 -----------------------------------------------------------
     let (r, k) = build_once(FIG1B, Mode::Seccomp);
-    let faked = k.trace.stats().faked;
+    let faked = k.counters.faked;
     let modified = r.modified_run_instructions;
     checks.push(Check {
         id: "F2",

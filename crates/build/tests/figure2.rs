@@ -26,10 +26,10 @@ fn figure_2_succeeds_under_seccomp_with_faked_syscalls() {
 
     // The mechanism, not just the outcome: privileged calls were issued
     // and the filter faked them (ERRNO(0), nothing executed).
-    let stats = kernel.trace.stats();
-    assert!(stats.faked > 0, "the filter must have faked syscalls");
+    let counters = kernel.counters;
+    assert!(counters.faked > 0, "the filter must have faked syscalls");
     assert!(
-        stats.privileged > 0,
+        counters.privileged() > 0,
         "yum/rpm must have issued privileged calls"
     );
 
@@ -64,9 +64,9 @@ fn figure_1b_fails_without_emulation() {
     );
 
     // Nothing was faked — the kernel refused the chown honestly.
-    let stats = kernel.trace.stats();
-    assert_eq!(stats.faked, 0);
-    assert!(stats.failed > 0);
+    let counters = kernel.counters;
+    assert_eq!(counters.faked, 0);
+    assert!(counters.failed > 0);
 }
 
 #[test]
@@ -199,11 +199,11 @@ fn warm_rebuild_of_figure_2_executes_nothing() {
     assert!(cold.success, "{}", cold.log_text());
 
     let spawns = kernel.counters.spawns;
-    let faked = kernel.trace.stats().faked;
+    let faked = kernel.counters.faked;
     let warm = builder.build(&mut kernel, FIG2, &opts);
     assert!(warm.success, "{}", warm.log_text());
     assert_eq!(kernel.counters.spawns, spawns, "no process ran");
-    assert_eq!(kernel.trace.stats().faked, faked, "no syscall was faked");
+    assert_eq!(kernel.counters.faked, faked, "no syscall was faked");
     assert_eq!((warm.cache.hits, warm.cache.misses), (2, 0));
 
     // Same zero-consistency artifact out of the snapshot.

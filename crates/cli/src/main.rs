@@ -362,7 +362,7 @@ fn cmd_inspect(args: &[String]) -> ExitCode {
     if !json {
         print!("{summary}");
     }
-    match zr_store::import(dir) {
+    match zr_store::materialize_layout(dir, &summary) {
         Ok(image) => {
             if json {
                 println!("{}", summary_json(&summary, &image.digest()));
@@ -729,19 +729,11 @@ fn cmd_pull(args: &[String]) -> ExitCode {
     };
     let (name, tag) = split_reference(reference);
     match client.pull_layout(&name, &tag, dir) {
-        Ok(summary) => {
+        Ok((summary, image)) => {
             print!("{summary}");
-            match zr_store::import(dir) {
-                Ok(image) => {
-                    println!("image digest: {}", image.digest());
-                    println!("pulled {name}:{tag} from {addr} into {dir}");
-                    ExitCode::SUCCESS
-                }
-                Err(e) => {
-                    eprintln!("error: pulled layout fails import: {e}");
-                    ExitCode::FAILURE
-                }
-            }
+            println!("image digest: {}", image.digest());
+            println!("pulled {name}:{tag} from {addr} into {dir}");
+            ExitCode::SUCCESS
         }
         Err(e) => {
             eprintln!("error: pull {name}:{tag} from {addr}: {e}");
@@ -972,7 +964,7 @@ fn run_batch(
         if prefixed {
             println!(
                 "[{}] status: {} (faked syscalls: {})",
-                r.id, r.status, r.trace.faked
+                r.id, r.status, r.counters.faked
             );
         }
         cache += r.result.cache;
@@ -985,11 +977,12 @@ fn run_batch(
     let sum = |count: &dyn Fn(&BuildReport) -> u64| reports.iter().map(count).sum::<u64>();
     eprintln!(
         "[trace] syscalls={} privileged={} faked={} failed={} bpf-instructions={}",
-        sum(&|r| r.trace.total),
-        sum(&|r| r.trace.privileged),
-        sum(&|r| r.trace.faked),
-        sum(&|r| r.trace.failed),
-        sum(&|r| r.trace.filter_steps)
+        // Calls the fakeroot shim answers never enter the kernel.
+        sum(&|r| r.counters.syscalls + r.counters.preload_hops),
+        sum(&|r| r.counters.privileged()),
+        sum(&|r| r.counters.faked),
+        sum(&|r| r.counters.failed),
+        sum(&|r| r.counters.bpf_instructions)
     );
     eprintln!(
         "[sched] {} builds with {jobs} workers in {elapsed:.2?}: {} ok ({degraded} degraded), \

@@ -135,8 +135,9 @@ mod tests {
             .prepare(&mut k, pid, &PrepareEnv::default())
             .expect("prepare");
         assert_eq!(k.process(pid).seccomp.len(), 1);
-        // The self-test shows up in the trace as a faked kexec_load.
-        assert_eq!(k.trace.count(zr_syscalls::Sysno::KexecLoad), 1);
+        // The self-test shows up in the ledger as a faked kexec_load.
+        assert_eq!(k.counters.calls(zr_syscalls::Sysno::KexecLoad), 1);
+        assert_eq!(k.counters.faked, 1);
     }
 
     #[test]

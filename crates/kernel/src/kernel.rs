@@ -15,7 +15,6 @@
 
 use std::collections::HashMap;
 
-use crate::counters::Counters;
 use crate::cred::{Cred, Ids};
 use crate::hooks::{HookVerdict, SyscallHook};
 use crate::ids::{NsId, NsTable};
@@ -25,7 +24,7 @@ use crate::sys::{Sys, SysCall, SysError, SysResult, SysRet};
 use zr_seccomp::{Action, SeccompData};
 use zr_syscalls::caps::Cap;
 use zr_syscalls::{mode, Arch, Errno, Sysno};
-use zr_trace::{Disposition, Record, Tracer};
+use zr_trace::Counters;
 use zr_vfs::access::{permitted, Access, Want};
 use zr_vfs::fs::{FollowMode, Fs};
 use zr_vfs::inode::FileKind;
@@ -93,9 +92,7 @@ pub struct Kernel {
     next_pid: Pid,
     /// Simulated binaries.
     pub registry: ProgramRegistry,
-    /// Syscall trace.
-    pub trace: Tracer,
-    /// Cost counters.
+    /// The dispatch ledger: what every syscall cost and how it ended.
     pub counters: Counters,
     /// Console output (stdout of all simulated processes, in completion
     /// order of their `write`s).
@@ -129,7 +126,6 @@ impl Kernel {
             processes: HashMap::new(),
             next_pid: 1,
             registry: ProgramRegistry::new(),
-            trace: Tracer::new(),
             counters: Counters::default(),
             console: Vec::new(),
             preload_hook: None,
@@ -271,15 +267,8 @@ impl Kernel {
             self.preload_hook = Some(hook);
             if let HookVerdict::Emulated(result) = verdict {
                 self.counters.preload_hops += 1;
-                let (sysno, args) = encode(self.process(pid).arch, &call);
-                self.trace.record(Record {
-                    pid,
-                    sysno,
-                    args,
-                    disposition: Disposition::Emulated,
-                    filter_steps: 0,
-                    note: note_for(&call),
-                });
+                let (sysno, _) = encode(self.process(pid).arch, &call);
+                self.counters.count_call(sysno);
                 return result;
             }
         }
@@ -307,6 +296,7 @@ impl Kernel {
         // 2+3. Encode for the architecture and run the filter stack.
         let arch = self.process(pid).arch;
         let (sysno, args) = encode(arch, &call);
+        self.counters.count_call(sysno);
         let (action, steps, stack_len) = {
             let stack = &self.process(pid).seccomp;
             if stack.is_empty() {
@@ -320,16 +310,6 @@ impl Kernel {
         self.counters.filter_evaluations += stack_len;
         self.counters.bpf_instructions += steps;
 
-        // The call's one trace record; each exit below sets its
-        // disposition and appends it.
-        let record = Record {
-            pid,
-            sysno,
-            args,
-            disposition: Disposition::Executed,
-            filter_steps: steps,
-            note: note_for(&call),
-        };
         match action {
             Action::Allow | Action::Log => {}
             Action::Errno(0) => {
@@ -337,27 +317,16 @@ impl Kernel {
                 if let Some(ids) = self.believed.get_mut(&pid) {
                     ids.apply(&call);
                 }
-                self.trace.record(Record {
-                    disposition: Disposition::FakedByFilter,
-                    ..record
-                });
                 return Ok(fake_success_ret(&call));
             }
             Action::Errno(e) => {
                 self.counters.denied += 1;
-                let errno = errno_from_raw(e);
-                self.trace.record(Record {
-                    disposition: Disposition::DeniedByFilter(errno),
-                    ..record
-                });
-                return Err(errno.into());
+                self.counters.failed += 1;
+                return Err(errno_from_raw(e).into());
             }
             Action::KillProcess | Action::KillThread | Action::Trap(_) => {
                 self.process_mut(pid).alive = false;
-                self.trace.record(Record {
-                    disposition: Disposition::KilledByFilter,
-                    ..record
-                });
+                self.counters.failed += 1;
                 return Err(SysError::Killed);
             }
             Action::Trace(_) | Action::UserNotif => {
@@ -365,10 +334,7 @@ impl Kernel {
                 // tracer hook below; reaching here without one installed
                 // behaves like ENOSYS (kernel with no tracer attached).
                 if self.tracer_hook.is_none() {
-                    self.trace.record(Record {
-                        disposition: Disposition::Failed(Errno::ENOSYS),
-                        ..record
-                    });
+                    self.counters.failed += 1;
                     return Err(Errno::ENOSYS.into());
                 }
             }
@@ -380,25 +346,15 @@ impl Kernel {
             let verdict = hook.on_syscall(self, pid, &call);
             self.tracer_hook = Some(hook);
             if let HookVerdict::Emulated(result) = verdict {
-                self.trace.record(Record {
-                    disposition: Disposition::Emulated,
-                    ..record
-                });
                 return result;
             }
         }
 
         // 5. Execute.
         let result = self.execute(pid, call);
-        let disposition = match &result {
-            Ok(_) => Disposition::Executed,
-            Err(SysError::Errno(e)) => Disposition::Failed(*e),
-            Err(SysError::Killed) => Disposition::KilledByFilter,
-        };
-        self.trace.record(Record {
-            disposition,
-            ..record
-        });
+        if result.is_err() {
+            self.counters.failed += 1;
+        }
         result
     }
 
@@ -1406,32 +1362,6 @@ fn errno_from_raw(raw: u16) -> Errno {
     }
 }
 
-fn note_for(call: &SysCall) -> String {
-    match call {
-        SysCall::Chown { path, uid, gid, .. }
-        | SysCall::Lchown { path, uid, gid, .. }
-        | SysCall::Fchownat { path, uid, gid, .. } => {
-            format!("path={path} uid={uid:?} gid={gid:?}")
-        }
-        SysCall::Mknod { path, mode, .. } | SysCall::Mknodat { path, mode, .. } => {
-            format!("path={path} mode={mode:#o}")
-        }
-        SysCall::Setuid { uid } => format!("uid={uid}"),
-        SysCall::Setresuid { r, e, s } => format!("r={r:?} e={e:?} s={s:?}"),
-        SysCall::Setgroups { groups } => format!("n={}", groups.len()),
-        SysCall::ReadFile { path }
-        | SysCall::WriteFile { path, .. }
-        | SysCall::Mkdir { path, .. }
-        | SysCall::Unlink { path }
-        | SysCall::Stat { path }
-        | SysCall::Lstat { path }
-        | SysCall::Setxattr { path, .. }
-        | SysCall::Chmod { path, .. } => format!("path={path}"),
-        SysCall::Spawn { path, argv, .. } => format!("path={path} argv={argv:?}"),
-        _ => String::new(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1677,17 +1607,83 @@ mod tests {
         assert_eq!(ctx.getcwd(), "/a");
     }
 
+    /// A preload shim that answers `lchown` and nothing else.
+    struct LchownShim;
+
+    impl SyscallHook for LchownShim {
+        fn on_syscall(&mut self, _: &mut Kernel, _: Pid, call: &SysCall) -> HookVerdict {
+            match call {
+                SysCall::Lchown { .. } => HookVerdict::Emulated(Ok(SysRet::Unit)),
+                _ => HookVerdict::PassThrough,
+            }
+        }
+    }
+
     #[test]
     fn trace_records_dispositions() {
+        // One call down each exit of the dispatch pipeline.
         let mut k = kernel();
+        let pid = Kernel::HOST_USER_PID;
+        let always = |sysno, action| zr_seccomp::SyscallRule {
+            sysno,
+            rule: zr_seccomp::Rule::Always(action),
+        };
+        let spec = zr_seccomp::FilterSpec {
+            arches: vec![Arch::X8664],
+            rules: vec![
+                always(Sysno::Chown, Action::Errno(0)),
+                always(Sysno::Setuid, Action::Errno(1)),
+                always(Sysno::Getuid, Action::Trace(0)),
+                always(Sysno::Setgid, Action::KillProcess),
+            ],
+            default_action: Action::Allow,
+            unknown_arch_action: Action::KillProcess,
+        };
         {
-            let mut ctx = k.ctx(Kernel::HOST_USER_PID);
-            let _ = ctx.chown("/tmp", 1234, 1234); // EPERM
+            let mut ctx = k.ctx(pid);
+            ctx.set_no_new_privs().unwrap();
+            ctx.seccomp_install(zr_seccomp::compile(&spec).unwrap())
+                .unwrap();
         }
-        let stats = k.trace.stats();
-        assert_eq!(stats.privileged, 1);
-        assert_eq!(stats.failed, 1);
-        assert!(k.trace.any_privileged());
+        k.set_preload_hook(Some(Box::new(LchownShim)));
+        k.process_mut(pid).dynamic = true;
+        k.process_mut(pid).preload_active = true;
+        let before = k.counters;
+        {
+            let mut ctx = k.ctx(pid);
+            ctx.getpid(); // executed
+            assert_eq!(ctx.kexec_load(), Err(Errno::EPERM.into())); // kernel-refused
+            ctx.chown("/tmp", 0, 0).unwrap(); // faked
+            assert_eq!(ctx.setuid(0), Err(Errno::EPERM.into())); // filter-denied
+            let getuid = ctx.call(SysCall::Getuid);
+            assert_eq!(getuid, Err(Errno::ENOSYS.into())); // no tracer attached
+            ctx.lchown("/tmp", 0, 0).unwrap(); // preload-answered
+            assert_eq!(ctx.call(SysCall::Setgid { gid: 0 }), Err(SysError::Killed));
+            // A dead process never enters the kernel again.
+            assert_eq!(ctx.call(SysCall::Getpid), Err(SysError::Killed));
+        }
+        let c = k.counters.since(&before);
+        assert_eq!(c.syscalls, 6, "{c:?}");
+        assert_eq!(c.preload_hops, 1);
+        assert_eq!(c.faked, 1);
+        assert_eq!(c.denied, 1);
+        assert_eq!(c.failed, 4, "kexec_load, setuid, getuid, setgid");
+        assert_eq!(
+            c.privileged(),
+            5,
+            "chown, setuid, kexec_load, setgid, lchown"
+        );
+        for sysno in [
+            Sysno::Getpid,
+            Sysno::KexecLoad,
+            Sysno::Chown,
+            Sysno::Setuid,
+            Sysno::Getuid,
+            Sysno::Lchown,
+            Sysno::Setgid,
+        ] {
+            assert_eq!(c.calls(sysno), 1, "{sysno}");
+        }
     }
 
     #[test]
@@ -1723,8 +1719,8 @@ mod tests {
             let _ = ctx.chown("/tmp", 0, 0);
         }
         // On aarch64 there is no chown(2); libc used fchownat (footnote 7).
-        assert_eq!(k.trace.count(Sysno::Chown), 0);
-        assert_eq!(k.trace.count(Sysno::Fchownat), 1);
+        assert_eq!(k.counters.calls(Sysno::Chown), 0);
+        assert_eq!(k.counters.calls(Sysno::Fchownat), 1);
     }
 
     #[test]
@@ -1735,7 +1731,7 @@ mod tests {
             let mut ctx = k.ctx(Kernel::HOST_USER_PID);
             let _ = ctx.chown("/tmp", 0, 0);
         }
-        assert_eq!(k.trace.count(Sysno::Chown32), 1);
+        assert_eq!(k.counters.calls(Sysno::Chown32), 1);
     }
 
     #[test]

@@ -28,15 +28,16 @@
 //!   (§2): Type I (mount ns, privileged), Type II (privileged user ns) and
 //!   Type III (fully unprivileged) setup, with the setup-privilege rules
 //!   that motivate the whole exercise.
-//! * [`counters`] — cost accounting (syscalls, BPF instructions, ptrace
-//!   stops, preload hops, daemon round-trips) feeding the overhead
+//! * [`Counters`] — the dispatch ledger (re-exported from `zr-trace`):
+//!   syscalls per [`Sysno`](zr_syscalls::Sysno), faked, denied and
+//!   failed calls, BPF instructions, ptrace stops, preload hops and
+//!   daemon round trips, feeding the paper's checks and the overhead
 //!   experiments.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod container;
-pub mod counters;
 pub mod cred;
 pub mod hooks;
 pub mod ids;
@@ -46,7 +47,6 @@ pub mod program;
 pub mod sys;
 
 pub use container::{ContainerConfig, ContainerType};
-pub use counters::Counters;
 pub use cred::{Cred, Ids};
 pub use hooks::{HookVerdict, SyscallHook};
 pub use ids::{IdMap, NsId, UserNs};
@@ -54,3 +54,4 @@ pub use kernel::{Kernel, KernelConfig, SyscallCtx};
 pub use process::{Pid, Process};
 pub use program::{ExecEnv, Program, ProgramEntry, ProgramRegistry};
 pub use sys::{Sys, SysCall, SysError, SysExt, SysResult, SysRet};
+pub use zr_trace::Counters;

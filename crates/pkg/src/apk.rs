@@ -154,7 +154,7 @@ mod tests {
             apk.run(&mut ctx, &mut env)
         };
         assert_eq!(code, 0);
-        assert!(!k.trace.any_privileged(), "Figure 1a: no privileged calls");
+        assert_eq!(k.counters.privileged(), 0, "Figure 1a: no privileged calls");
         let console = k.take_console().join("\n");
         assert!(
             console.contains("(3/3) Installing sl (5.02-r1)"),

@@ -259,8 +259,9 @@ mod tests {
             let mut ctx = k.ctx(pid);
             extract_file(&mut ctx, &f, ChownBehavior::SkipIfMatching).unwrap();
         }
-        assert!(
-            !k.trace.any_privileged(),
+        assert_eq!(
+            k.counters.privileged(),
+            0,
             "apk-style extraction must not touch privileged syscalls"
         );
     }
@@ -274,7 +275,7 @@ mod tests {
             extract_file(&mut ctx, &f, ChownBehavior::Always).unwrap();
         }
         assert!(
-            k.trace.any_privileged(),
+            k.counters.privileged() > 0,
             "cpio-style extraction chowns unconditionally"
         );
     }

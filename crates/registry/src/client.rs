@@ -321,9 +321,15 @@ impl RemoteRegistry {
     }
 
     /// Pull `name:tag` into an on-disk OCI layout at `dir` — the wire
-    /// mirror of `zr export`. A zeroroot-pushed image round-trips to a
+    /// mirror of `zr export` — and materialize its [`Image`] from the
+    /// same downloads. A zeroroot-pushed image round-trips to a
     /// byte-identical layout.
-    pub fn pull_layout(&self, name: &str, tag: &str, dir: impl AsRef<Path>) -> Result<OciSummary> {
+    pub fn pull_layout(
+        &self,
+        name: &str,
+        tag: &str,
+        dir: impl AsRef<Path>,
+    ) -> Result<(OciSummary, Image)> {
         let (manifest, _) = self.manifest(name, tag)?;
         let ref_name = format!("{name}:{tag}");
         zr_store::write_layout(dir, &ref_name, &manifest, &mut |digest| {

@@ -43,9 +43,10 @@ fn push_pull_roundtrip_is_byte_identical() {
 
     // Pulled layout == pushed layout, file for file.
     let pulled_dir = scratch.join("pulled");
-    let summary = client
+    let (summary, pulled_layout_image) = client
         .pull_layout("alpine", "3.19", &pulled_dir)
         .expect("pull layout");
+    assert_eq!(pulled_layout_image.digest(), original.digest());
     let pushed_summary = zr_store::inspect(&layout).expect("inspect source");
     assert_eq!(summary, pushed_summary);
     for file in ["index.json", "oci-layout"] {

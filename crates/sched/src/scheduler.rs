@@ -26,6 +26,7 @@ use zr_fault::points;
 use zr_image::{CatalogBackend, LayerStore, PullCost, RegistryBackend, ShardedRegistry};
 use zr_kernel::Kernel;
 use zr_plan::BuildPlan;
+use zr_trace::Counters;
 
 /// Queue class for one request. Half the worker pool is affine to each
 /// class when both are populated: high-priority work never waits behind
@@ -226,8 +227,8 @@ pub struct BuildReport {
     /// The build result (a cancelled build's error is
     /// [`BuildError::Cancelled`]).
     pub result: BuildResult,
-    /// Syscall statistics summed over the build's per-stage kernels.
-    pub trace: zr_trace::Stats,
+    /// The dispatch ledgers of the build's per-stage kernels, summed.
+    pub counters: Counters,
     /// Completion sequence within the batch (0 = finished first);
     /// `None` for cancelled builds.
     pub seq: Option<usize>,
@@ -238,7 +239,7 @@ pub struct BuildReport {
 struct Slot {
     status: BuildStatus,
     result: Option<BuildResult>,
-    trace: zr_trace::Stats,
+    counters: Counters,
     seq: Option<usize>,
 }
 
@@ -347,8 +348,8 @@ struct DagBuild {
 struct DagState {
     /// Stage images, log chunks and summed counters so far.
     stages: Stages,
-    /// Summed syscall statistics across per-stage kernels.
-    trace: zr_trace::Stats,
+    /// Summed dispatch ledgers across per-stage kernels.
+    counters: Counters,
     /// Unreleased stages → number of incomplete dependencies.
     pending: HashMap<usize, usize>,
     /// Stages whose worker panicked once and were requeued. A second
@@ -401,15 +402,6 @@ impl BatchShared {
 
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     lock_or_poisoned(m)
-}
-
-fn merge_trace(into: &mut zr_trace::Stats, from: &zr_trace::Stats) {
-    into.total += from.total;
-    into.privileged += from.privileged;
-    into.faked += from.faked;
-    into.failed += from.failed;
-    into.emulated += from.emulated;
-    into.filter_steps += from.filter_steps;
 }
 
 /// Assemble a batch: plan every request, seed the queues with each
@@ -482,7 +474,7 @@ fn make_batch(
             build,
             BuildStatus::Failed,
             result,
-            zr_trace::Stats::default(),
+            Counters::default(),
         );
     }
     shared
@@ -508,7 +500,7 @@ fn finalize(
     build: usize,
     status: BuildStatus,
     result: BuildResult,
-    trace: zr_trace::Stats,
+    counters: Counters,
 ) {
     {
         let mut slots = lock(&shared.slots);
@@ -521,7 +513,7 @@ fn finalize(
             slot.seq = Some(shared.seq.fetch_add(1, Ordering::SeqCst));
         }
         slot.result = Some(result);
-        slot.trace = trace;
+        slot.counters = counters;
     }
     if status == BuildStatus::Failed && shared.fail_fast {
         shared.cancelled.store(true, Ordering::SeqCst);
@@ -549,13 +541,7 @@ fn close(shared: &BatchShared, build: usize, dag: &DagBuild, state: &mut DagStat
         Some(BuildError::Cancelled) => BuildStatus::Cancelled,
         Some(_) => BuildStatus::Failed,
     };
-    finalize(
-        shared,
-        build,
-        status,
-        result,
-        std::mem::take(&mut state.trace),
-    );
+    finalize(shared, build, status, result, state.counters);
 }
 
 /// The worker-side fault hooks, evaluated at the top of every task
@@ -618,13 +604,13 @@ fn run_task(shared: &BatchShared, task: Task) {
         let mut builder = Builder::with_shared(shared.registry.clone(), shared.layers.clone());
         let (image, output) =
             builder.build_stage(&mut kernel, &dag.plan, stage, &request.options, &deps);
-        (image, output, kernel.trace.stats())
+        (image, output, kernel.counters)
     }));
     shared.running.fetch_sub(1, Ordering::SeqCst);
 
     let mut state = lock(&dag.state);
     state.inflight -= 1;
-    let (image, output, trace) = match outcome {
+    let (image, output, counters) = match outcome {
         Ok(outcome) => outcome,
         // A panicked stage gets exactly one retry: the worker survived
         // (the panic was caught), the stage recorded nothing, and the
@@ -649,10 +635,10 @@ fn run_task(shared: &BatchShared, task: Task) {
                 message: "builder panicked".into(),
             }),
             StageOutput::default(),
-            zr_trace::Stats::default(),
+            Counters::default(),
         ),
     };
-    merge_trace(&mut state.trace, &trace);
+    state.counters += counters;
     if image.is_ok() {
         state.remaining -= 1;
     }
@@ -828,7 +814,7 @@ impl BatchHandle {
                 id: request.id.clone(),
                 status: slot.status,
                 result: slot.result.take().expect("a terminal build has a result"),
-                trace: std::mem::take(&mut slot.trace),
+                counters: slot.counters,
                 seq: slot.seq,
             })
             .collect()

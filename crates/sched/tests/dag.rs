@@ -425,6 +425,28 @@ fn scheduler_and_serial_builder_agree_on_every_shape() {
 }
 
 #[test]
+fn serial_and_scheduled_builds_count_the_same_syscalls() {
+    // Figure 1b (FIG2 under --force=none) and the diamond in every mode:
+    // the serial builder's one kernel and the scheduler's per-stage
+    // kernels, summed, keep the same dispatch ledger.
+    for mode in Mode::ALL {
+        for (name, dockerfile) in [("fig1b", FIG2), ("diamond", DIAMOND)] {
+            let options = BuildOptions::new(name, mode);
+            let mut kernel = Kernel::default_kernel();
+            Builder::new().build(&mut kernel, dockerfile, &options);
+            let report = scheduler(1)
+                .build_many(vec![BuildRequest::with_options(name, dockerfile, options)])
+                .remove(0);
+            let label = format!("{name} --force={}", mode.flag());
+            assert_eq!(report.counters, kernel.counters, "{label}");
+            if (name, mode) == ("fig1b", Mode::None) {
+                assert!(report.counters.failed > 0, "{label}: cpio: chown");
+            }
+        }
+    }
+}
+
+#[test]
 fn a_rebuilt_tag_logs_the_same_lines_serial_and_scheduled() {
     // The second build of one tag: a warm replay, and a full
     // re-execution under --no-cache. Neither path keeps per-tag state,

@@ -388,10 +388,10 @@ pub fn parse_manifest(ref_name: &str, manifest_bytes: &[u8]) -> Result<OciSummar
 }
 
 /// Materialize an [`Image`] from a manifest plus a blob fetcher (the
-/// registry client's pull path; [`import`] is the same assembly with
-/// the fetcher reading layout files). `fetch` returns the bytes of the
-/// blob it is asked for, already verified against that digest; they
-/// are not hashed again here.
+/// registry client's pull path; [`materialize_layout`] is the same
+/// assembly with the fetcher reading layout files). `fetch` returns the
+/// bytes of the blob it is asked for, already verified against that
+/// digest; they are not hashed again here.
 pub fn assemble(
     ref_name: &str,
     manifest_bytes: &[u8],
@@ -419,7 +419,9 @@ fn materialize(
 }
 
 /// Write a full OCI layout at `dir` from a manifest plus a blob
-/// fetcher — the `pull` path's mirror of [`export`]. As for
+/// fetcher — the `pull` path's mirror of [`export`] — and materialize
+/// its [`Image`] in the same pass: each blob (config, then layers in
+/// manifest order) is fetched once, stored and applied. As for
 /// [`assemble`], `fetch` returns bytes already verified against the
 /// digest it was asked for, and each blob is stored under that digest
 /// without being hashed again. The index is generated by the same
@@ -430,14 +432,16 @@ pub fn write_layout(
     ref_name: &str,
     manifest_bytes: &[u8],
     fetch: &mut dyn FnMut(&str) -> Result<Vec<u8>>,
-) -> Result<OciSummary> {
+) -> Result<(OciSummary, Image)> {
     let dir = dir.as_ref();
     let summary = parse_manifest(ref_name, manifest_bytes)?;
     let writer = LayoutWriter::new(dir)?;
     writer.put_verified(&summary.manifest_digest, manifest_bytes)?;
-    for digest in std::iter::once(&summary.config_digest).chain(&summary.layer_digests) {
-        writer.put_verified(digest, &fetch(digest)?)?;
-    }
+    let image = materialize(&summary, &mut |digest| {
+        let data = fetch(digest)?;
+        writer.put_verified(digest, &data)?;
+        Ok(data)
+    })?;
     let index = index_json(&summary.manifest_digest, manifest_bytes.len(), ref_name);
     writer.write(&dir.join("index.json"), index.as_bytes())?;
     writer.write(
@@ -445,7 +449,7 @@ pub fn write_layout(
         b"{\"imageLayoutVersion\":\"1.0.0\"}",
     )?;
     writer.finish();
-    Ok(summary)
+    Ok((summary, image))
 }
 
 fn meta_from_config(config: &Json, ref_name: &str) -> Result<ImageMeta> {
@@ -516,7 +520,15 @@ fn meta_from_config(config: &Json, ref_name: &str) -> Result<ImageMeta> {
 /// `Image::digest`.
 pub fn import(dir: impl AsRef<Path>) -> Result<Image> {
     let dir = dir.as_ref();
-    materialize(&inspect(dir)?, &mut |digest| read_layout_blob(dir, digest))
+    materialize_layout(dir, &inspect(dir)?)
+}
+
+/// [`import`] for a caller that already holds the layout's
+/// [`inspect`] summary: only the config and layer blobs are read (each
+/// verified), the index and manifest are not parsed again.
+pub fn materialize_layout(dir: impl AsRef<Path>, summary: &OciSummary) -> Result<Image> {
+    let dir = dir.as_ref();
+    materialize(summary, &mut |digest| read_layout_blob(dir, digest))
 }
 
 /// Summarize a layout from its index and manifest alone: the manifest

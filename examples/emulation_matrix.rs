@@ -57,11 +57,7 @@ fn main() {
         let (static_ok, c3) = try_build(static_sh, mode);
         let (verify_ok, c4) = try_build(verify, mode);
         for c in [c2, c3, c4] {
-            counters.syscalls += c.syscalls;
-            counters.bpf_instructions += c.bpf_instructions;
-            counters.ptrace_stops += c.ptrace_stops;
-            counters.preload_hops += c.preload_hops;
-            counters.daemon_round_trips += c.daemon_round_trips;
+            counters += c;
         }
         rows.push(Row {
             mode,

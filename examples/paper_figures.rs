@@ -1,7 +1,7 @@
 //! Reproduce the paper's figures side by side:
 //!
 //! * Figure 1a — `FROM alpine:3.19; RUN apk add sl`, no emulation: works,
-//!   and the trace proves no privileged syscall was issued.
+//!   and the dispatch ledger proves no privileged syscall was issued.
 //! * Figure 1b — `FROM centos:7; RUN yum install -y openssh`, no
 //!   emulation: dies on `cpio: chown`.
 //! * Figure 2 — the same build under `--force=seccomp`: succeeds.
@@ -32,10 +32,17 @@ fn main() {
     let mut s = Session::new();
     let r = s.build("FROM alpine:3.19\nRUN apk add sl\n", "win", Mode::None);
     show(&r.log);
-    let stats = s.trace_stats();
+    let counters = s.counters();
     assert!(r.success);
-    assert_eq!(stats.privileged, 0, "apk must issue no privileged syscalls");
-    println!("  [verified: {} syscalls, 0 privileged]", stats.total);
+    assert_eq!(
+        counters.privileged(),
+        0,
+        "apk must issue no privileged syscalls"
+    );
+    println!(
+        "  [verified: {} syscalls, 0 privileged]",
+        counters.syscalls + counters.preload_hops
+    );
 
     // ---- Figure 1b -----------------------------------------------------
     banner("Figure 1b: centos yum, --force=none (fails: cpio: chown)");
@@ -59,10 +66,10 @@ fn main() {
         Mode::Seccomp,
     );
     show(&r.log);
-    let stats = s.trace_stats();
+    let faked = s.counters().faked;
     assert!(r.success);
-    assert!(stats.faked > 0);
-    println!("  [verified: {} privileged calls faked]", stats.faked);
+    assert!(faked > 0);
+    println!("  [verified: {faked} privileged calls faked]");
 
     // ---- §5: the apt exception -------------------------------------------
     banner("§5 apt exception: seccomp breaks apt's privilege-drop verification");

@@ -23,12 +23,13 @@
 //! assert!(result.log_text().contains("Complete!"));
 //! // The paper's mechanism, observable: privileged syscalls were issued,
 //! // none were executed, all reported success.
-//! assert!(session.trace_stats().faked > 0);
+//! assert!(session.counters().faked > 0);
 //! ```
 //!
-//! Layer map (bottom up): [`syscalls`] (ABI tables) → [`bpf`] (classic
-//! BPF machine) → [`seccomp`] (filter compiler + host installer) →
-//! [`vfs`] + [`kernel`] (the simulated Linux substrate) → [`core`]
+//! Layer map (bottom up): [`syscalls`] (ABI tables) → [`trace`] (the
+//! dispatch ledger) → [`bpf`] (classic BPF machine) → [`seccomp`]
+//! (filter compiler + host installer) → [`vfs`] + [`kernel`] (the
+//! simulated Linux substrate) → [`core`]
 //! (the emulation strategies) → [`image`]/[`dockerfile`]/[`shell`]/
 //! [`pkg`] → [`store`] (persistent CAS + OCI layouts) → [`build`]
 //! (the ch-image-like builder) → [`sched`] (the concurrent batch
@@ -101,19 +102,15 @@ impl Session {
         self.builder.build(&mut self.kernel, dockerfile, opts)
     }
 
-    /// Syscall statistics recorded so far.
-    pub fn trace_stats(&self) -> zr_trace::Stats {
-        self.kernel.trace.stats()
-    }
-
-    /// Cost counters recorded so far.
+    /// The kernel's dispatch ledger so far.
     pub fn counters(&self) -> zr_kernel::Counters {
         self.kernel.counters
     }
 
-    /// Clear trace and console between experiments.
+    /// Zero the dispatch ledger and clear the console between
+    /// experiments.
     pub fn reset_observability(&mut self) {
-        self.kernel.trace.clear();
+        self.kernel.counters = zr_kernel::Counters::default();
         self.kernel.console.clear();
     }
 }
@@ -131,15 +128,16 @@ mod tests {
             Mode::Seccomp,
         );
         assert!(r.success, "{}", r.log_text());
-        assert!(s.trace_stats().faked > 0);
+        assert!(s.counters().faked > 0);
     }
 
     #[test]
     fn reset_observability_clears() {
         let mut s = Session::new();
         let _ = s.build("FROM alpine:3.19\nRUN true\n", "t", Mode::None);
-        assert!(s.trace_stats().total > 0);
+        assert!(s.counters().syscalls > 0);
         s.reset_observability();
-        assert_eq!(s.trace_stats().total, 0);
+        assert_eq!(s.counters(), zr_kernel::Counters::default());
+        assert!(s.kernel.console.is_empty());
     }
 }

@@ -35,7 +35,7 @@ fn figure_2_succeeds_on_every_architecture() {
     for arch in Arch::ALL {
         let (ok, k) = build_on(arch, Mode::Seccomp);
         assert!(ok, "{arch}: one filter, six architectures");
-        assert!(k.trace.stats().faked > 0, "{arch}");
+        assert!(k.counters.faked > 0, "{arch}");
     }
 }
 
@@ -43,8 +43,8 @@ fn figure_2_succeeds_on_every_architecture() {
 fn aarch64_uses_fchownat_not_chown() {
     // Footnote 7: arm64 lacks chown(2); libc routes through fchownat(2).
     let (_, k) = build_on(Arch::Aarch64, Mode::Seccomp);
-    assert_eq!(k.trace.count(Sysno::Chown), 0);
-    assert!(k.trace.count(Sysno::Fchownat) > 0);
+    assert_eq!(k.counters.calls(Sysno::Chown), 0);
+    assert!(k.counters.calls(Sysno::Fchownat) > 0);
 }
 
 #[test]
@@ -63,15 +63,19 @@ fn i386_uses_the_32bit_id_variants() {
     );
     assert!(r.success, "{}", r.log_text());
     assert!(
-        kernel.trace.count(Sysno::Chown32) > 0,
+        kernel.counters.calls(Sysno::Chown32) > 0,
         "shell chown → chown32"
     );
-    assert_eq!(kernel.trace.count(Sysno::Chown), 0, "libc prefers chown32");
+    assert_eq!(
+        kernel.counters.calls(Sysno::Chown),
+        0,
+        "libc prefers chown32"
+    );
 }
 
 #[test]
 fn x86_64_uses_the_plain_calls() {
     let (_, k) = build_on(Arch::X8664, Mode::Seccomp);
-    assert_eq!(k.trace.count(Sysno::Chown32), 0);
-    assert!(k.trace.count(Sysno::Chown) + k.trace.count(Sysno::Fchownat) > 0);
+    assert_eq!(k.counters.calls(Sysno::Chown32), 0);
+    assert!(k.counters.calls(Sysno::Chown) + k.counters.calls(Sysno::Fchownat) > 0);
 }
