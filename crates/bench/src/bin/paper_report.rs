@@ -261,12 +261,12 @@ fn main() {
     let cold = builder.build(&mut kernel, FIG1B, &opts);
     let cold_time = t0.elapsed();
     let spawns_before = kernel.counters.spawns;
-    let pulls_before = builder.registry.pulls();
+    let pulls_before = builder.registry.stats().pulls;
     let t1 = std::time::Instant::now();
     let warm = builder.build(&mut kernel, FIG1B, &opts);
     let warm_time = t1.elapsed();
     let no_exec =
-        kernel.counters.spawns == spawns_before && builder.registry.pulls() == pulls_before;
+        kernel.counters.spawns == spawns_before && builder.registry.stats().pulls == pulls_before;
     let speedup = cold_time.as_secs_f64() / warm_time.as_secs_f64().max(1e-9);
     metrics.push(("c_cache.cold_ms".into(), cold_time.as_secs_f64() * 1e3));
     metrics.push(("c_cache.warm_ms".into(), warm_time.as_secs_f64() * 1e3));
@@ -562,7 +562,7 @@ fn main() {
         .unwrap_or(false);
     let warm_stats = second.layers.stats();
     let executed_nothing = second_kernel.counters.spawns == 0
-        && second.registry.pulls() == 0
+        && second.registry.stats().pulls == 0
         && warm.cache.misses == 0
         && warm.cache.hits == 2;
     let from_disk =

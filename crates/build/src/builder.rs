@@ -185,7 +185,7 @@ impl Builder {
         let mut parent: Option<CacheKey> = None;
         let mut restored: Option<Arc<Layer>> = None;
         let mut start = 0usize;
-        if opts.cache.readable() {
+        if opts.cache.uses_store() {
             let mut attempts = 0u32;
             loop {
                 parent = None;
@@ -292,7 +292,7 @@ impl Builder {
             // Key and log line first: both are defined over the state
             // *before* the instruction runs.
             let env = stage_env(&stage);
-            let key = opts.cache.writable().then(|| {
+            let key = opts.cache.uses_store().then(|| {
                 cache::layer_key(
                     parent.as_ref(),
                     instruction,
@@ -308,7 +308,7 @@ impl Builder {
             // an execution (the paper's figures show `1* FROM`).
             // `--no-cache` is the one honest miss rendering.
             let mark = match instruction {
-                Instruction::From { .. } if opts.cache.readable() => '*',
+                Instruction::From { .. } if opts.cache.uses_store() => '*',
                 _ => '.',
             };
             let line = instruction_line(
@@ -339,7 +339,7 @@ impl Builder {
                                     ),
                                 })?
                         }
-                        BaseRef::Image(_) => self.pull_base(kernel, &reference, out)?,
+                        BaseRef::Image(_) => self.pull_base(kernel, &reference)?,
                     };
                     stage = Some(enter_stage(kernel, opts, base)?);
                 }
@@ -472,54 +472,14 @@ impl Builder {
     /// Registry FROM's pull step: pull `reference` and re-own the
     /// result as the unprivileged unpacking user, ready for
     /// [`enter_stage`].
-    ///
-    /// Degraded mode: when the pull dies with a *transport* error (not
-    /// "no such image" / "bad reference") and a pull of the same
-    /// reference previously succeeded against this layer store, the
-    /// locally cached base is used instead — the build completes with
-    /// `CacheStats::base_fallbacks` bumped rather than failing.
-    fn pull_base(
-        &self,
-        kernel: &Kernel,
-        reference: &str,
-        out: &mut StageOutput,
-    ) -> Result<Image, BuildError> {
-        let image_ref = ImageRef::parse(reference).ok_or_else(|| BuildError::Pull {
+    fn pull_base(&self, kernel: &Kernel, reference: &str) -> Result<Image, BuildError> {
+        let pull_error = |errno| BuildError::Pull {
             reference: reference.into(),
-            errno: zr_syscalls::Errno::EINVAL,
-        })?;
-        let mut image = match self.registry.pull(&image_ref) {
-            Ok(image) => {
-                self.layers.record_base(reference, &image);
-                image
-            }
-            Err(errno) => {
-                // ENOENT/EINVAL are answers, not outages: the registry
-                // looked and said no. Everything else is a transfer
-                // failure worth degrading around.
-                let transport =
-                    errno != zr_syscalls::Errno::ENOENT && errno != zr_syscalls::Errno::EINVAL;
-                match transport
-                    .then(|| self.layers.cached_base(reference))
-                    .flatten()
-                {
-                    Some(local) => {
-                        out.log.push(format!(
-                            "warning: pull {reference} failed ({errno}); using local copy"
-                        ));
-                        out.cache.base_fallbacks += 1;
-                        zr_fault::count_base_fallback();
-                        local
-                    }
-                    None => {
-                        return Err(BuildError::Pull {
-                            reference: reference.into(),
-                            errno,
-                        })
-                    }
-                }
-            }
+            errno,
         };
+        let image_ref =
+            ImageRef::parse(reference).ok_or_else(|| pull_error(zr_syscalls::Errno::EINVAL))?;
+        let mut image = self.registry.pull(&image_ref).map_err(pull_error)?;
 
         // Unprivileged unpack: every inode becomes the builder's
         // (Charliecloud storage model; the single-id map then shows the
@@ -717,7 +677,6 @@ pub fn assemble(plan: &BuildPlan, opts: &BuildOptions, stages: &mut Stages) -> B
         modified_run_instructions: stages.modified,
         tag: opts.tag.clone(),
         cache: stages.cache,
-        degraded: false,
         error: stages.error.clone(),
     };
     match stages.images.remove(&plan.target()) {
@@ -741,7 +700,6 @@ pub fn assemble(plan: &BuildPlan, opts: &BuildOptions, stages: &mut Stages) -> B
             meta.tag = opts.tag.clone();
             result.image = Some(Image { meta, fs: image.fs });
             result.success = true;
-            result.degraded = stages.cache.base_fallbacks > 0;
         }
         _ => {
             let error = result.error.get_or_insert(BuildError::Cancelled);
@@ -752,8 +710,8 @@ pub fn assemble(plan: &BuildPlan, opts: &BuildOptions, stages: &mut Stages) -> B
 }
 
 /// Instruction `n`'s log line, `N. INSTR` or `N* INSTR` by `mark`:
-/// the execution loop passes `.` (`*` for FROM whenever the cache is
-/// readable), the replay walk passes `*` (ch-image's hit marker). `env`
+/// the execution loop passes `.` (`*` for FROM whenever the build uses
+/// the store), the replay walk passes `*` (ch-image's hit marker). `env`
 /// and `args` are the state *before* the instruction. Side lines
 /// (warnings, transcripts) are not part of it: they appear only when
 /// the instruction executes.

@@ -14,8 +14,7 @@ use zeroroot_core::digest::FieldDigest;
 use zr_dockerfile::{substitute, Instruction};
 use zr_image::CacheKey;
 
-/// How a build uses the layer cache (`ch-image build [--no-cache]`,
-/// plus a read-only mode for shared stores).
+/// How a build uses the layer cache (`ch-image build [--no-cache]`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CacheMode {
     /// Restore hits, snapshot misses (the default).
@@ -23,20 +22,13 @@ pub enum CacheMode {
     Enabled,
     /// `--no-cache`: execute everything, touch the store not at all.
     Disabled,
-    /// Restore hits but never write — a builder sharing a store it must
-    /// not grow (CI replaying a warm cache, for instance).
-    ReadOnly,
 }
 
 impl CacheMode {
-    /// May hits be restored?
-    pub fn readable(self) -> bool {
-        !matches!(self, CacheMode::Disabled)
-    }
-
-    /// May misses be snapshotted?
-    pub fn writable(self) -> bool {
-        matches!(self, CacheMode::Enabled)
+    /// Does the build restore hits from the store and snapshot misses
+    /// into it?
+    pub fn uses_store(self) -> bool {
+        self == CacheMode::Enabled
     }
 }
 
@@ -47,9 +39,6 @@ pub struct CacheStats {
     pub hits: u32,
     /// Instructions that executed (everything, under `--no-cache`).
     pub misses: u32,
-    /// `FROM` pulls that failed after retries and fell back to a
-    /// locally cached base image — the build completed *degraded*.
-    pub base_fallbacks: u32,
 }
 
 impl CacheStats {
@@ -63,17 +52,12 @@ impl std::ops::AddAssign for CacheStats {
     fn add_assign(&mut self, other: CacheStats) {
         self.hits += other.hits;
         self.misses += other.misses;
-        self.base_fallbacks += other.base_fallbacks;
     }
 }
 
 impl std::fmt::Display for CacheStats {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{} hits, {} misses", self.hits, self.misses)?;
-        if self.base_fallbacks > 0 {
-            write!(f, ", {} base fallbacks", self.base_fallbacks)?;
-        }
-        Ok(())
+        write!(f, "{} hits, {} misses", self.hits, self.misses)
     }
 }
 
@@ -268,19 +252,14 @@ mod tests {
 
     #[test]
     fn mode_policy() {
-        assert!(CacheMode::Enabled.readable() && CacheMode::Enabled.writable());
-        assert!(!CacheMode::Disabled.readable() && !CacheMode::Disabled.writable());
-        assert!(CacheMode::ReadOnly.readable() && !CacheMode::ReadOnly.writable());
+        assert!(CacheMode::Enabled.uses_store());
+        assert!(!CacheMode::Disabled.uses_store());
         assert_eq!(CacheMode::default(), CacheMode::Enabled);
     }
 
     #[test]
     fn stats_display() {
-        let s = CacheStats {
-            hits: 2,
-            misses: 1,
-            base_fallbacks: 0,
-        };
+        let s = CacheStats { hits: 2, misses: 1 };
         assert_eq!(s.to_string(), "2 hits, 1 misses");
         assert_eq!(s.total(), 3);
     }

@@ -109,10 +109,6 @@ pub struct BuildResult {
     /// Layer-cache effectiveness: how many instructions were restored
     /// from snapshots versus executed.
     pub cache: CacheStats,
-    /// Did the build succeed only by degrading — e.g. a `FROM` pull
-    /// failed after retries and a locally cached base was used instead?
-    /// Always false when `success` is false.
-    pub degraded: bool,
     /// The failure cause, when `success` is false.
     pub error: Option<BuildError>,
 }
@@ -128,7 +124,6 @@ impl BuildResult {
             modified_run_instructions: 0,
             tag: tag.to_string(),
             cache: CacheStats::default(),
-            degraded: false,
             error: Some(error),
         }
     }
@@ -161,7 +156,6 @@ mod tests {
             modified_run_instructions: 0,
             tag: "t".into(),
             cache: CacheStats::default(),
-            degraded: false,
             error: None,
         };
         assert_eq!(r.log_text(), "a\nb");

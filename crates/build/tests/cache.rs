@@ -1,10 +1,14 @@
 //! The instruction-level layer cache, end to end: warm rebuilds replay
 //! snapshots instead of executing, edits invalidate exactly the edited
 //! suffix, `--no-cache` bypasses the store, and a strategy change
-//! invalidates the whole chain.
+//! invalidates the whole chain. A pulled base lives only in the
+//! registry's pull-through cache: the layer store keeps no copy.
+
+use std::sync::{Arc, Weak};
 
 use zeroroot_core::Mode;
 use zr_build::{context_file, BuildOptions, Builder, CacheMode};
+use zr_image::{ImageRef, Registry};
 use zr_kernel::Kernel;
 use zr_vfs::access::Access;
 
@@ -22,14 +26,14 @@ fn identical_rebuild_hits_every_layer() {
     assert_eq!(builder.layers.len(), 4);
 
     let spawns_before = kernel.counters.spawns;
-    let pulls_before = builder.registry.pulls();
+    let pulls_before = builder.registry.stats().pulls;
     let warm = builder.build(&mut kernel, DF, &opts);
     assert!(warm.success, "{}", warm.log_text());
 
     // Every layer restored, zero executions, zero pulls.
     assert_eq!((warm.cache.hits, warm.cache.misses), (4, 0));
     assert_eq!(kernel.counters.spawns, spawns_before, "no RUN executed");
-    assert_eq!(builder.registry.pulls(), pulls_before, "no re-pull");
+    assert_eq!(builder.registry.stats().pulls, pulls_before, "no re-pull");
 
     // All hit markers, ch-image style.
     let log = warm.log_text();
@@ -121,29 +125,6 @@ fn strategy_change_invalidates_the_chain() {
     // Flipping back to seccomp still replays the original chain.
     let back = builder.build(&mut kernel, DF, &BuildOptions::new("t", Mode::Seccomp));
     assert_eq!((back.cache.hits, back.cache.misses), (4, 0));
-}
-
-#[test]
-fn read_only_mode_restores_but_never_writes() {
-    let mut kernel = Kernel::default_kernel();
-    let mut builder = Builder::new();
-    let mut opts = BuildOptions::new("t", Mode::Seccomp);
-
-    // Read-only against an empty store: full execution, nothing stored.
-    opts.cache = CacheMode::ReadOnly;
-    let r = builder.build(&mut kernel, DF, &opts);
-    assert!(r.success, "{}", r.log_text());
-    assert_eq!((r.cache.hits, r.cache.misses), (0, 4));
-    assert!(builder.layers.is_empty());
-
-    // Warm the store, then replay read-only: hits, same store size.
-    opts.cache = CacheMode::Enabled;
-    builder.build(&mut kernel, DF, &opts);
-    let layers = builder.layers.len();
-    opts.cache = CacheMode::ReadOnly;
-    let r = builder.build(&mut kernel, DF, &opts);
-    assert_eq!((r.cache.hits, r.cache.misses), (4, 0));
-    assert_eq!(builder.layers.len(), layers);
 }
 
 #[test]
@@ -309,4 +290,29 @@ fn every_instruction_kind_renders_the_same_hit_or_executed() {
     // Side lines appear only when the instruction executes.
     assert!(cold_log.contains("warning: USER ignored"), "{cold_log}");
     assert!(!warm.log_text().contains("warning:"), "{}", warm.log_text());
+}
+
+#[test]
+fn dropping_the_registry_frees_the_pulled_base() {
+    let mut kernel = Kernel::default_kernel();
+    let mut builder = Builder::new();
+    let mut opts = BuildOptions::new("t", Mode::Seccomp);
+    opts.cache = CacheMode::Disabled;
+    let result = builder.build(&mut kernel, "FROM alpine:3.19\nRUN echo hi > /hi\n", &opts);
+    assert!(result.success, "{}", result.log_text());
+
+    // A pull after the build is a cache hit: it hands out the cached
+    // base's own blobs.
+    let base = builder
+        .registry
+        .pull(&ImageRef::parse("alpine:3.19").unwrap())
+        .unwrap();
+    assert_eq!(builder.registry.stats().fetches, 1);
+    let blobs: Vec<Weak<_>> = base.fs.blobs().map(Arc::downgrade).collect();
+    assert!(!blobs.is_empty());
+
+    drop((base, result, kernel));
+    builder.registry = Arc::new(Registry::new());
+    let alive = blobs.iter().filter(|blob| blob.upgrade().is_some()).count();
+    assert_eq!(alive, 0, "a base blob outlived the registry that pulled it");
 }

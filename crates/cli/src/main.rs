@@ -22,9 +22,8 @@
 //! BUILD FLAGS: [--force=MODE] [--target STAGE] [--no-cache]
 //!              [--cache-stats] [--jobs N] [--fail-fast] [--follow ID]
 //!              [--context DIR] [--cache-limit BYTES] [--cache-dir DIR]
-//!              [--store-limit BYTES] [--blob-limit BYTES]
-//!              [--registry ADDR] [--retry N] [--timeout SECS]
-//!              [--fault-plan PLAN]
+//!              [--store-limit BYTES] [--registry ADDR] [--retry N]
+//!              [--timeout SECS] [--fault-plan PLAN]
 //! ```
 //!
 //! `build` is `build-many` with one request: both run one batch on a
@@ -90,8 +89,8 @@ fn usage() -> ExitCode {
     eprintln!(
         "BUILD FLAGS: [--force=MODE] [--target STAGE] [--no-cache] [--cache-stats] [--jobs N] \
          [--fail-fast] [--follow ID] [--context DIR] [--cache-limit BYTES] [--cache-dir DIR] \
-         [--store-limit BYTES] [--blob-limit BYTES] [--registry ADDR] [--retry N] \
-         [--timeout SECS] [--fault-plan PLAN]"
+         [--store-limit BYTES] [--registry ADDR] [--retry N] [--timeout SECS] \
+         [--fault-plan PLAN]"
     );
     let modes: Vec<&str> = Mode::ALL.iter().map(|m| m.flag()).collect();
     eprintln!("modes: {}", modes.join(" "));
@@ -231,7 +230,6 @@ fn parse_build_flags(args: &[String]) -> Result<BuildFlags, ExitCode> {
                     "--cache-dir" => f.config.cache_dir = Some(value.into()),
                     "--jobs" => f.config.jobs = number(value)?,
                     "--cache-limit" => f.config.cache_limit = number(value)?,
-                    "--blob-limit" => f.config.blob_budget = number(value)?,
                     "--store-limit" => f.config.store_limit = Some(number(value)?),
                     "--retry" => f.retry = Some(number(value)?),
                     "--timeout" => f.timeout_secs = Some(number(value)?),
@@ -1000,22 +998,8 @@ fn run_batch(
         rstats.pulls, rstats.fetches, rstats.blob_hits
     );
     if flags.cache_stats {
-        let stats = sched.layers().stats();
-        eprintln!("[cache] {cache} ({} layers stored)", stats.layers);
-        eprintln!(
-            "[cache] store: {} bytes deduplicated ({} logical, {} saved, {} blobs, \
-             {} disk hits, {} evictions)",
-            stats.bytes,
-            stats.logical_bytes,
-            stats.dedup_saved(),
-            stats.blobs,
-            stats.disk_hits,
-            stats.evictions
-        );
-        eprintln!(
-            "[registry] blob cache: {} bytes (budget {}), {} evictions",
-            rstats.blob_bytes, rstats.blob_budget, rstats.evictions
-        );
+        eprintln!("[cache] {cache}");
+        eprintln!("[cache] store: {}", sched.layers().stats());
         if let Some(disk) = sched.disk() {
             eprintln!(
                 "[store] {} at {}",

@@ -4,7 +4,8 @@
 //! directory that cannot be read fails before any build starts. The
 //! `modes:` line lists every `--force` mode, and `build` accepts each.
 //! The wire verbs (`push`, `pull`) refuse bad flags with the usage
-//! exit.
+//! exit, and `--cache-stats` reports the layer store's dedup savings
+//! as what they are.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -95,7 +96,6 @@ fn build_flags_match_usage() {
             ("--context", _) => Some(context.as_str()),
             ("--cache-dir", _) => Some(cache_dir.as_str()),
             ("--cache-limit" | "--store-limit", _) => Some("65536"),
-            ("--blob-limit", _) => Some("1"),
             ("--retry", _) => Some("2"),
             ("--timeout", _) => Some("5"),
             ("--fault-plan", _) => Some("seed=1"),
@@ -120,6 +120,41 @@ fn build_flags_match_usage() {
     // A flag usage() does not list is a usage error.
     let out = run(&["build-many", "--shards", "4", &df]);
     assert_eq!(out.status.code(), Some(2), "stderr:\n{}", stderr(&out));
+}
+
+#[test]
+fn cache_stats_store_line_reports_what_dedup_saved() {
+    let scratch = Scratch::new("cache-stats");
+    let df = scratch.join("twice.df");
+    std::fs::write(&df, "FROM alpine:3.19\nRUN echo hi > /hi\n").unwrap();
+    let out = run(&["build-many", "--cache-stats", &df, &df]);
+    let err = stderr(&out);
+    assert_eq!(out.status.code(), Some(0), "stderr:\n{err}");
+    // `N layers, B bytes (L logical, S saved by dedup, K blobs), …`
+    let line = err
+        .lines()
+        .find_map(|l| l.strip_prefix("[cache] store: "))
+        .expect("--cache-stats prints the store line");
+    let number_before = |label: &str| -> u64 {
+        let end = line
+            .find(label)
+            .unwrap_or_else(|| panic!("no {label:?} in {line:?}"));
+        let digits = line[..end]
+            .rsplit(|c: char| !c.is_ascii_digit())
+            .next()
+            .unwrap();
+        digits
+            .parse()
+            .unwrap_or_else(|_| panic!("{digits:?} in {line:?}"))
+    };
+    let bytes = number_before(" bytes (");
+    let logical = number_before(" logical");
+    let saved = number_before(" saved by dedup");
+    assert!(
+        saved > 0,
+        "the stored layers share the base's blobs: {line}"
+    );
+    assert_eq!(logical - bytes, saved, "{line}");
 }
 
 #[test]

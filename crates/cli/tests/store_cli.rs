@@ -100,7 +100,7 @@ fn second_process_replays_a_warm_cache_dir() {
     );
     let warm_err = String::from_utf8_lossy(&warm.stderr);
     assert!(
-        warm_err.contains("2 disk hits"),
+        warm_err.contains("hits (2 from disk)"),
         "hits must come from the disk tier: {warm_err}"
     );
 }

@@ -19,8 +19,8 @@
 //! On top of the plane sit the resilience policies the faults prove
 //! out: [`RetryPolicy`] (capped exponential backoff with seeded
 //! jitter), process-wide resilience [`counters`] (retries, timeouts,
-//! degraded fallbacks), and [`chaos`], a reusable TCP chaos proxy for
-//! wire tests (kill-after-bytes, stalled responses, bit flips).
+//! worker panics retried), and [`chaos`], a reusable TCP chaos proxy
+//! for wire tests (kill-after-bytes, stalled responses, bit flips).
 //!
 //! Plans are installed per test via [`install`] (which serializes
 //! fault-using tests behind a global lock and uninstalls on drop) or
@@ -69,9 +69,9 @@ pub mod points {
     /// The server stalls before answering (arg = milliseconds), long
     /// enough to trip a client read deadline.
     pub const WIRE_SERVER_STALL: &str = "wire.server.stall";
-    /// A catalog/registry pull fails with an injected transport error
-    /// (above the wire — exercises the degraded FROM fallback without
-    /// a live endpoint).
+    /// A registry fetch fails with an injected transport error (above
+    /// the wire, so it needs no live endpoint). Only a real fetch can
+    /// fail: a pull the pull-through cache answers never reaches it.
     pub const REGISTRY_PULL_ERR: &str = "registry.pull.err";
     /// A scheduler worker panics at the top of a stage build.
     pub const SCHED_STAGE_PANIC: &str = "sched.stage.panic";
@@ -418,7 +418,6 @@ fn hit_installed(point: &str) -> Option<u64> {
 static INJECTED: AtomicU64 = AtomicU64::new(0);
 static RETRIES: AtomicU64 = AtomicU64::new(0);
 static TIMEOUTS: AtomicU64 = AtomicU64::new(0);
-static BASE_FALLBACKS: AtomicU64 = AtomicU64::new(0);
 static PANICS_RETRIED: AtomicU64 = AtomicU64::new(0);
 
 /// Process-wide resilience counters: what the fault plane injected and
@@ -432,9 +431,6 @@ pub struct FaultCounters {
     pub retries: u64,
     /// Wire operations that hit a read/write deadline.
     pub timeouts: u64,
-    /// Builds that fell back to locally cached base-image content
-    /// after a failed FROM pull.
-    pub base_fallbacks: u64,
     /// Worker panics absorbed by the scheduler's retry-once path.
     pub panics_retried: u64,
 }
@@ -443,8 +439,8 @@ impl std::fmt::Display for FaultCounters {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "{} injected, {} retries, {} timeouts, {} base fallbacks, {} panics retried",
-            self.injected, self.retries, self.timeouts, self.base_fallbacks, self.panics_retried
+            "{} injected, {} retries, {} timeouts, {} panics retried",
+            self.injected, self.retries, self.timeouts, self.panics_retried
         )
     }
 }
@@ -455,20 +451,13 @@ pub fn counters() -> FaultCounters {
         injected: INJECTED.load(Ordering::Relaxed),
         retries: RETRIES.load(Ordering::Relaxed),
         timeouts: TIMEOUTS.load(Ordering::Relaxed),
-        base_fallbacks: BASE_FALLBACKS.load(Ordering::Relaxed),
         panics_retried: PANICS_RETRIED.load(Ordering::Relaxed),
     }
 }
 
 /// Zero the resilience counters (done automatically by [`install`]).
 pub fn reset_counters() {
-    for counter in [
-        &INJECTED,
-        &RETRIES,
-        &TIMEOUTS,
-        &BASE_FALLBACKS,
-        &PANICS_RETRIED,
-    ] {
+    for counter in [&INJECTED, &RETRIES, &TIMEOUTS, &PANICS_RETRIED] {
         counter.store(0, Ordering::Relaxed);
     }
 }
@@ -482,11 +471,6 @@ pub fn count_retry() {
 /// Count one wire deadline hit.
 pub fn count_timeout() {
     TIMEOUTS.fetch_add(1, Ordering::Relaxed);
-}
-
-/// Count one degraded FROM fallback.
-pub fn count_base_fallback() {
-    BASE_FALLBACKS.fetch_add(1, Ordering::Relaxed);
 }
 
 /// Count one worker panic absorbed by the scheduler.
@@ -738,13 +722,9 @@ mod tests {
         let _guard = install(&FaultPlan::new());
         count_retry();
         count_timeout();
-        count_base_fallback();
         count_panic_retried();
         let c = counters();
-        assert_eq!(
-            (c.retries, c.timeouts, c.base_fallbacks, c.panics_retried),
-            (1, 1, 1, 1)
-        );
+        assert_eq!((c.retries, c.timeouts, c.panics_retried), (1, 1, 1));
         assert!(c.to_string().contains("1 retries"));
         reset_counters();
         assert_eq!(counters(), FaultCounters::default());

@@ -24,7 +24,7 @@ use zeroroot_core::sync::lock_or_poisoned;
 use zr_vfs::fs::Fs;
 use zr_vfs::FileKind;
 
-use crate::image::{Image, ImageMeta};
+use crate::image::ImageMeta;
 
 /// A layer cache key: 64 hex characters of a field-delimited SHA-256
 /// over everything that decides an instruction's outcome.
@@ -125,7 +125,9 @@ pub struct Layer {
     pub state: LayerState,
 }
 
-use crate::INODE_OVERHEAD;
+/// Fixed per-inode overhead (metadata, directory entries) the
+/// `--cache-limit` budget charges on top of payload bytes.
+const INODE_OVERHEAD: u64 = 256;
 
 /// The non-payload footprint of one layer: per-inode overhead plus
 /// symlink targets. File payload bytes are charged through the shared
@@ -295,12 +297,6 @@ struct StoreState {
     /// Optional durable backing tier (write-through + miss
     /// fallthrough). Cloned out of the lock before any I/O.
     disk: Option<Arc<dyn LayerPersistence>>,
-    /// Base images recorded by successful `FROM` pulls, keyed by the
-    /// reference string. A degraded build whose pull fails after
-    /// retries falls back here instead of dying — the image content is
-    /// already local. Not budgeted: a handful of base references per
-    /// fleet, and the underlying `Fs` is shared-by-`Arc` anyway.
-    bases: HashMap<String, Image>,
 }
 
 impl Entry {
@@ -470,20 +466,6 @@ impl LayerStore {
     /// The configured size budget (0 = unlimited).
     pub fn budget(&self) -> u64 {
         self.lock().budget
-    }
-
-    /// Record a successfully pulled base image under its reference so a
-    /// later pull of the same reference that fails after retries can
-    /// degrade to local content instead of failing the build.
-    pub fn record_base(&self, reference: &str, image: &Image) {
-        let image = image.clone();
-        self.lock().bases.insert(reference.to_string(), image);
-    }
-
-    /// The locally cached base image for `reference`, if a pull of it
-    /// ever succeeded against this store.
-    pub fn cached_base(&self, reference: &str) -> Option<Image> {
-        self.lock().bases.get(reference).cloned()
     }
 
     /// Attach a durable backing tier. Every subsequent insert is

@@ -10,7 +10,9 @@
 //! The [`registry`] module fabricates the paper's base images
 //! (`alpine:3.19`, `centos:7`, `debian:12`, `fedora:40`) with their
 //! package managers, shells, and distro quirks; `zr-pkg` supplies the
-//! *behaviour* of those binaries, keyed by [`BinKind`].
+//! *behaviour* of those binaries, keyed by [`BinKind`]. Its
+//! pull-through cache is the one place a pulled base lives: each
+//! reference is fetched once and kept for the registry's lifetime.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -18,12 +20,6 @@
 pub mod image;
 pub mod layer;
 pub mod registry;
-
-/// Fixed per-inode overhead (metadata, directory entries) both byte
-/// budgets — the layer store's and the registry blob cache's — charge
-/// on top of payload bytes, so `--cache-limit` and `--blob-limit`
-/// share one size model.
-pub(crate) const INODE_OVERHEAD: u64 = 256;
 
 pub use image::{BinKind, BinarySpec, Distro, Image, ImageMeta, ImageRef, Linkage};
 pub use layer::{

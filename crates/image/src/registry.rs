@@ -6,10 +6,12 @@
 //! identity used by the bind-mount compatibility experiment.
 //!
 //! [`ShardedRegistry`] puts a pull-through blob cache in front of a
-//! [`RegistryBackend`] (this catalog, or a live endpoint). One lock
-//! guards the cache and its counters; fetches run under per-reference
-//! fetch locks, so a fetch never holds the cache lock and pulls of
-//! different references never wait on each other.
+//! [`RegistryBackend`] (this catalog, or a live endpoint). The cache
+//! is the one place a pulled base lives: it keeps every image it
+//! fetched for the registry's lifetime. One lock guards the cache and
+//! its counters; fetches run under per-reference fetch locks, so a
+//! fetch never holds the cache lock and pulls of different references
+//! never wait on each other.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -330,90 +332,26 @@ pub struct RegistryStats {
     pub fetches: u64,
     /// Pulls satisfied out of the blob cache.
     pub blob_hits: u64,
-    /// Approximate bytes currently held by the blob cache.
-    pub blob_bytes: u64,
-    /// The configured blob-cache byte budget (0 = unlimited).
-    pub blob_budget: u64,
-    /// Cached blobs evicted to respect the budget.
-    pub evictions: u64,
 }
 
-/// One cached base image plus the LRU bookkeeping eviction needs.
-#[derive(Debug)]
-struct CachedBlob {
-    image: Image,
-    bytes: u64,
-    /// Cache-clock value of the last hit (or the fetch that seeded it).
-    last_hit: u64,
-}
-
-/// Everything the registry's cache lock guards: the pull-through blob
-/// cache, its LRU clock, byte counter and budget, and the usage
-/// counters. Only map and counter work runs under it — fetches and the
-/// modeled [`PullCost`] sleeps never do.
+/// Everything the registry's cache lock guards: every image fetched so
+/// far, keyed by reference, and the usage counters. Only map and
+/// counter work runs under it — fetches and the modeled [`PullCost`]
+/// sleeps never do.
 #[derive(Debug, Default)]
 struct BlobCache {
-    blobs: HashMap<String, CachedBlob>,
-    /// LRU clock (bumped on every blob hit and fetch).
-    clock: u64,
-    /// Byte budget; 0 means unlimited.
-    budget: u64,
-    /// Approximate bytes cached.
-    bytes: u64,
+    images: HashMap<String, Image>,
     pulls: u64,
     fetches: u64,
     blob_hits: u64,
-    evictions: u64,
 }
 
 impl BlobCache {
-    /// A cache hit: refresh the blob's LRU position, count it, and hand
-    /// out a copy of the image.
+    /// A cache hit: count it and hand out a copy of the image.
     fn hit(&mut self, key: &str) -> Option<Image> {
-        let blob = self.blobs.get_mut(key)?;
-        self.clock += 1;
-        blob.last_hit = self.clock;
+        let image = self.images.get(key)?.clone();
         self.blob_hits += 1;
-        Some(blob.image.clone())
-    }
-
-    /// Cache a freshly fetched image of `bytes` footprint as the most
-    /// recently used blob, then evict down to the budget.
-    fn insert(&mut self, key: String, image: Image, bytes: u64) {
-        self.clock += 1;
-        let blob = CachedBlob {
-            image,
-            bytes,
-            last_hit: self.clock,
-        };
-        self.bytes += bytes;
-        if let Some(old) = self.blobs.insert(key, blob) {
-            self.bytes -= old.bytes;
-        }
-        self.enforce_budget();
-    }
-
-    /// Evict least-recently-hit blobs until the cache fits its budget,
-    /// in one pass in LRU order.
-    fn enforce_budget(&mut self) {
-        if self.budget == 0 || self.bytes <= self.budget {
-            return;
-        }
-        let mut lru: Vec<(u64, String)> = self
-            .blobs
-            .iter()
-            .map(|(key, blob)| (blob.last_hit, key.clone()))
-            .collect();
-        lru.sort_unstable_by_key(|(last_hit, _)| *last_hit);
-        for (_, key) in lru {
-            if self.bytes <= self.budget {
-                break;
-            }
-            if let Some(gone) = self.blobs.remove(&key) {
-                self.bytes -= gone.bytes;
-                self.evictions += 1;
-            }
-        }
+        Some(image)
     }
 }
 
@@ -429,10 +367,9 @@ impl BlobCache {
 /// other's fetch. `pull` takes `&self` — one registry handle (behind
 /// an `Arc`) serves every worker in a build scheduler.
 ///
-/// An optional byte budget caps the blob cache: when the byte counter
-/// exceeds it, the least-recently-hit blobs are evicted. Evicting only
-/// costs a refetch on the next pull of that reference; it can never
-/// corrupt a build.
+/// The cache is the one place a pulled base lives: it keeps every image
+/// it fetched for the registry's lifetime, so a reference is fetched at
+/// most once and a later outage can never fail its pull.
 #[derive(Debug)]
 pub struct ShardedRegistry {
     cache: Mutex<BlobCache>,
@@ -491,31 +428,6 @@ impl ShardedRegistry {
 
     fn cache(&self) -> MutexGuard<'_, BlobCache> {
         lock_or_poisoned(&self.cache)
-    }
-
-    /// Change the blob-cache byte budget (0 = unlimited) and enforce
-    /// it immediately.
-    pub fn set_blob_budget(&self, bytes: u64) {
-        let mut cache = self.cache();
-        cache.budget = bytes;
-        cache.enforce_budget();
-    }
-
-    /// The configured blob-cache byte budget (0 = unlimited).
-    pub fn blob_budget(&self) -> u64 {
-        self.cache().budget
-    }
-
-    /// Approximate bytes currently held by the blob cache.
-    pub fn blob_bytes(&self) -> u64 {
-        self.cache().bytes
-    }
-
-    /// Approximate cache footprint of one image: payload bytes (each
-    /// blob once — snapshots hand out shared handles) plus a fixed
-    /// per-inode overhead.
-    fn image_bytes(image: &Image) -> u64 {
-        image.fs.content_bytes() + image.fs.inode_count() as u64 * crate::INODE_OVERHEAD
     }
 
     /// Known references.
@@ -595,24 +507,13 @@ impl ShardedRegistry {
         if !self.cost.fetch.is_zero() {
             std::thread::sleep(self.cost.fetch);
         }
-        let bytes = Self::image_bytes(&image);
         {
             let mut cache = self.cache();
             cache.fetches += 1;
-            cache.insert(key.clone(), image.clone(), bytes);
+            cache.images.insert(key.clone(), image.clone());
         }
         self.release_fetch_lock(&key);
         Ok(image)
-    }
-
-    /// Total pulls served.
-    pub fn pulls(&self) -> u64 {
-        self.cache().pulls
-    }
-
-    /// Total pull-through misses (images actually materialized).
-    pub fn fetches(&self) -> u64 {
-        self.cache().fetches
     }
 
     /// Usage counters.
@@ -624,9 +525,6 @@ impl ShardedRegistry {
             // Counted directly, not derived: a failed pull (unknown
             // reference) is neither a fetch nor a blob hit.
             blob_hits: cache.blob_hits,
-            blob_bytes: cache.bytes,
-            blob_budget: cache.budget,
-            evictions: cache.evictions,
         }
     }
 }
@@ -662,9 +560,8 @@ mod tests {
         );
         // A failed pull counts as a pull but as neither a fetch nor a
         // blob hit.
-        assert_eq!(r.pulls(), 1);
-        assert_eq!(r.fetches(), 0);
-        assert_eq!(r.stats().blob_hits, 0);
+        let stats = r.stats();
+        assert_eq!((stats.pulls, stats.fetches, stats.blob_hits), (1, 0, 0));
     }
 
     #[test]
@@ -719,12 +616,9 @@ mod tests {
         let reference = ImageRef::parse("alpine:3.19").unwrap();
         let _ = r.pull(&reference);
         let _ = r.pull(&reference);
-        assert_eq!(r.pulls(), 2);
         // The second pull came out of the pull-through cache.
-        assert_eq!(r.fetches(), 1);
         let stats = r.stats();
-        assert_eq!(stats.pulls, 2);
-        assert_eq!(stats.blob_hits, 1);
+        assert_eq!((stats.pulls, stats.fetches, stats.blob_hits), (2, 1, 1));
     }
 
     #[test]
@@ -762,35 +656,9 @@ mod tests {
             let img = h.join().unwrap();
             assert!(img.fs.inode_count() > 10);
         }
-        assert_eq!(r.pulls(), 16);
-        assert_eq!(r.fetches(), 2, "one fetch per distinct base");
-    }
-
-    #[test]
-    fn blob_budget_evicts_least_recently_pulled() {
-        let r = ShardedRegistry::new();
-        // Cache every base, then re-pull alpine so it is the most
-        // recently hit.
-        for reference in Registry::catalog() {
-            r.pull(&ImageRef::parse(reference).unwrap()).unwrap();
-        }
-        let full = r.blob_bytes();
-        assert!(full > 0);
-        let _ = r.pull(&ImageRef::parse("alpine:3.19").unwrap());
-        // Budget for roughly half the catalog: the LRU bases go, the
-        // freshly hit alpine survives.
-        r.set_blob_budget(full / 2);
-        assert!(r.blob_bytes() <= r.blob_budget());
         let stats = r.stats();
-        assert!(stats.evictions >= 1, "{stats:?}");
-        assert_eq!(stats.blob_budget, full / 2);
-        let fetches_before = r.fetches();
-        let _ = r.pull(&ImageRef::parse("alpine:3.19").unwrap());
-        assert_eq!(r.fetches(), fetches_before, "alpine stayed cached");
-        // A pull of an evicted base refetches and re-enforces.
-        let _ = r.pull(&ImageRef::parse("centos:7").unwrap());
-        assert_eq!(r.fetches(), fetches_before + 1);
-        assert!(r.blob_bytes() <= r.blob_budget());
+        assert_eq!(stats.pulls, 16);
+        assert_eq!(stats.fetches, 2, "one fetch per distinct base");
     }
 
     #[test]
@@ -812,7 +680,8 @@ mod tests {
         // The warm pull skipping the fetch is asserted on counters
         // (deterministic), not on a wall-clock upper bound (a loaded
         // CI runner can stretch any such bound).
-        assert_eq!(r.fetches(), 1, "warm pull skips the fetch");
-        assert_eq!(r.stats().blob_hits, 1);
+        let stats = r.stats();
+        assert_eq!(stats.fetches, 1, "warm pull skips the fetch");
+        assert_eq!(stats.blob_hits, 1);
     }
 }

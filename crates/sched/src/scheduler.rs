@@ -94,10 +94,9 @@ pub enum BuildStatus {
     Running,
     /// Finished successfully.
     Done,
-    /// Finished successfully, but only by degrading: a `FROM` pull
-    /// fell back to a locally cached base, or a stage succeeded on a
-    /// retry after a worker panic. The result's image is real; the
-    /// status flags that the batch was not fault-free.
+    /// Finished successfully, but only by degrading: a stage succeeded
+    /// on its retry after a worker panic. The result's image is real;
+    /// the status flags that the batch was not fault-free.
     Degraded,
     /// Finished with a failure (the report's result says why).
     Failed,
@@ -177,9 +176,6 @@ pub struct SchedulerConfig {
     pub pull_cost: PullCost,
     /// Layer-cache size budget in bytes (0 = unlimited).
     pub cache_limit: u64,
-    /// Registry blob-cache byte budget (0 = unlimited): least-recently
-    /// pulled bases are evicted first.
-    pub blob_budget: u64,
     /// Persistent layer-store directory (`--cache-dir`). When set, the
     /// shared layer store is backed by `zr-store`: every worker's
     /// layers are written through to disk, and a later scheduler (or
@@ -208,7 +204,6 @@ impl Default for SchedulerConfig {
             fail_fast: false,
             pull_cost: PullCost::default(),
             cache_limit: 0,
-            blob_budget: 0,
             cache_dir: None,
             store_limit: None,
             backend: None,
@@ -527,16 +522,14 @@ fn finalize(
 
 /// End a build none of whose stages is running: assemble the result
 /// from the recorded stages and finalize it — `Done` when the target
-/// stage completed (`Degraded` if a base pull fell back or a stage
-/// survived a panic), `Failed` after a stage error, `Cancelled`
-/// otherwise. Called with the build's state lock held, so the result
-/// holds every chunk streamed.
+/// stage completed (`Degraded` if a stage survived a panic), `Failed`
+/// after a stage error, `Cancelled` otherwise. Called with the build's
+/// state lock held, so the result holds every chunk streamed.
 fn close(shared: &BatchShared, build: usize, dag: &DagBuild, state: &mut DagState) {
     let options = &shared.requests[build].options;
-    let mut result = zr_build::assemble(&dag.plan, options, &mut state.stages);
-    result.degraded |= result.success && !state.panicked.is_empty();
+    let result = zr_build::assemble(&dag.plan, options, &mut state.stages);
     let status = match &result.error {
-        None if result.degraded => BuildStatus::Degraded,
+        None if !state.panicked.is_empty() => BuildStatus::Degraded,
         None => BuildStatus::Done,
         Some(BuildError::Cancelled) => BuildStatus::Cancelled,
         Some(_) => BuildStatus::Failed,
@@ -874,7 +867,6 @@ impl Scheduler {
             .clone()
             .unwrap_or_else(|| Arc::new(CatalogBackend));
         let registry = Arc::new(ShardedRegistry::with_backend(config.pull_cost, backend));
-        registry.set_blob_budget(config.blob_budget);
         let (layers, disk) = match &config.cache_dir {
             Some(dir) => {
                 let (layers, disk) = zr_store::open_layer_store(dir)?;
