@@ -797,7 +797,6 @@ fn cmd_store(args: &[String]) -> ExitCode {
         let stats = disk.cas().stats();
         println!("layers:   {}", disk.keys().len());
         println!("store:    {stats}");
-        println!("logical:  {} bytes in {} blobs", stats.bytes, stats.blobs);
         println!(
             "physical: {} bytes ({} chunk indexes, {} bytes saved by chunk dedup)",
             stats.physical_bytes, stats.chunk_indexes, stats.chunk_dedup_saved

@@ -224,6 +224,12 @@ fn store_gc_and_stats_operate_on_a_cache_dir() {
         stats_out.contains("chunk indexes") && stats_out.contains("evicted:"),
         "physical/eviction counters reported: {stats_out}"
     );
+    // The blob and byte counts on the store line count objects on disk
+    // (each chunk its own object), not logical bytes.
+    assert!(
+        !stats_out.lines().any(|line| line.contains("logical")),
+        "no line calls on-disk object counts logical: {stats_out}"
+    );
 
     let gc = run(&["store", "gc", "--cache-dir", cache.to_str().unwrap()]);
     assert!(gc.status.success());

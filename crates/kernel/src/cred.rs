@@ -3,11 +3,32 @@
 //! All ids stored in a [`Cred`] are **kernel ids**; translation to and
 //! from the process's user namespace happens at the syscall boundary in
 //! `kernel.rs`, mirroring `struct cred` in Linux. [`Ids`] is a cred as
-//! seen from its namespace: what the get\*id calls report.
+//! seen from its namespace: what the get\*id calls report. [`IdKind`]
+//! names which of the two id sets a call is about, so uids and gids
+//! share one code path.
 
 use crate::ids::NsId;
 use crate::sys::{SysCall, SysRet};
-use zr_syscalls::caps::CapSet;
+use zr_syscalls::caps::{Cap, CapSet};
+
+/// Which kind of id a call names: uids or gids.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum IdKind {
+    /// User ids.
+    User,
+    /// Group ids.
+    Group,
+}
+
+impl IdKind {
+    /// The capability that lets a process set any id of this kind.
+    pub fn cap(self) -> Cap {
+        match self {
+            IdKind::User => Cap::Setuid,
+            IdKind::Group => Cap::Setgid,
+        }
+    }
+}
 
 /// A process's security context.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -68,14 +89,13 @@ impl Cred {
         Cred::new(uid, gid, CapSet::EMPTY, 0)
     }
 
-    /// Is any of the three uids equal to `kuid`? (setuid eligibility.)
-    pub fn any_uid_is(&self, kuid: u32) -> bool {
-        self.ruid == kuid || self.euid == kuid || self.suid == kuid
-    }
-
-    /// Is any of the three gids equal to `kgid`?
-    pub fn any_gid_is(&self, kgid: u32) -> bool {
-        self.rgid == kgid || self.egid == kgid || self.sgid == kgid
+    /// The real, effective, saved and filesystem ids of `kind`.
+    pub fn ids_mut(&mut self, kind: IdKind) -> [&mut u32; 4] {
+        let c = self;
+        match kind {
+            IdKind::User => [&mut c.ruid, &mut c.euid, &mut c.suid, &mut c.fsuid],
+            IdKind::Group => [&mut c.rgid, &mut c.egid, &mut c.sgid, &mut c.fsgid],
+        }
     }
 
     /// Group membership including the effective/filesystem gid.
@@ -104,24 +124,24 @@ pub struct Ids {
 
 impl Ids {
     /// Record `call` as if it succeeded, when it is a set\*id call:
-    /// `setuid`/`setgid` set all three ids, the `setre*`/`setres*` calls
-    /// each id given as `Some`, and `setgroups` replaces the groups.
-    /// Any other call returns false and changes nothing.
+    /// every id [`SysCall::set_ids`] names is set (all three for
+    /// `setuid`/`setgid`), and `setgroups` replaces the groups. This is
+    /// what the kernel does for a caller with the capability. Any other
+    /// call returns false and changes nothing.
     pub fn apply(&mut self, call: &SysCall) -> bool {
-        fn set(ids: &mut (u32, u32, u32), r: Option<u32>, e: Option<u32>, s: Option<u32>) {
-            ids.0 = r.unwrap_or(ids.0);
-            ids.1 = e.unwrap_or(ids.1);
-            ids.2 = s.unwrap_or(ids.2);
+        if let SysCall::Setgroups { groups } = call {
+            self.groups.clone_from(groups);
+            return true;
         }
-        match call {
-            SysCall::Setuid { uid } => self.uids = (*uid, *uid, *uid),
-            SysCall::Setgid { gid } => self.gids = (*gid, *gid, *gid),
-            SysCall::Setreuid { r, e } => set(&mut self.uids, *r, *e, None),
-            SysCall::Setregid { r, e } => set(&mut self.gids, *r, *e, None),
-            SysCall::Setresuid { r, e, s } => set(&mut self.uids, *r, *e, *s),
-            SysCall::Setresgid { r, e, s } => set(&mut self.gids, *r, *e, *s),
-            SysCall::Setgroups { groups } => self.groups.clone_from(groups),
-            _ => return false,
+        let Some((kind, named)) = call.set_ids() else {
+            return false;
+        };
+        let (r, e, s) = match kind {
+            IdKind::User => &mut self.uids,
+            IdKind::Group => &mut self.gids,
+        };
+        for (id, new) in [r, e, s].into_iter().zip(named) {
+            *id = new.unwrap_or(*id);
         }
         true
     }
@@ -173,10 +193,10 @@ mod tests {
     #[test]
     fn membership_helpers() {
         let mut c = Cred::init_user(1000, 1000);
-        assert!(c.any_uid_is(1000));
-        assert!(!c.any_uid_is(0));
-        c.suid = 0;
-        assert!(c.any_uid_is(0));
+        *c.ids_mut(IdKind::User)[2] = 0;
+        *c.ids_mut(IdKind::Group)[3] = 7;
+        assert_eq!((c.ruid, c.euid, c.suid, c.fsuid), (1000, 1000, 0, 1000));
+        assert_eq!((c.rgid, c.egid, c.sgid, c.fsgid), (1000, 1000, 1000, 7));
         assert!(c.in_group(1000));
         c.groups.push(44);
         assert!(c.in_group(44));

@@ -7,6 +7,7 @@
 //! (`EINVAL` from `chown`/`setuid`) and read back as the overflow id
 //! 65534 — both behaviours are central to why Figure 1b fails.
 
+use crate::cred::IdKind;
 use zr_syscalls::caps::Cap;
 
 /// The uid/gid that unmapped kernel ids display as (`/proc/sys/kernel/
@@ -88,29 +89,24 @@ impl UserNs {
         }
     }
 
-    /// Namespace-local uid → kernel uid.
-    pub fn make_kuid(&self, uid: u32) -> Option<u32> {
-        self.uid_map.iter().find_map(|m| m.map_to_kernel(uid))
+    /// The extents that map ids of `kind`.
+    fn map(&self, kind: IdKind) -> &[IdMap] {
+        match kind {
+            IdKind::User => &self.uid_map,
+            IdKind::Group => &self.gid_map,
+        }
     }
 
-    /// Namespace-local gid → kernel gid.
-    pub fn make_kgid(&self, gid: u32) -> Option<u32> {
-        self.gid_map.iter().find_map(|m| m.map_to_kernel(gid))
+    /// Namespace-local id → kernel id (`None` if unmapped).
+    pub fn make_kid(&self, kind: IdKind, id: u32) -> Option<u32> {
+        self.map(kind).iter().find_map(|m| m.map_to_kernel(id))
     }
 
-    /// Kernel uid → namespace-local uid ([`OVERFLOW_ID`] if unmapped).
-    pub fn from_kuid(&self, kuid: u32) -> u32 {
-        self.uid_map
+    /// Kernel id → namespace-local id ([`OVERFLOW_ID`] if unmapped).
+    pub fn from_kid(&self, kind: IdKind, kid: u32) -> u32 {
+        self.map(kind)
             .iter()
-            .find_map(|m| m.map_to_inside(kuid))
-            .unwrap_or(OVERFLOW_ID)
-    }
-
-    /// Kernel gid → namespace-local gid ([`OVERFLOW_ID`] if unmapped).
-    pub fn from_kgid(&self, kgid: u32) -> u32 {
-        self.gid_map
-            .iter()
-            .find_map(|m| m.map_to_inside(kgid))
+            .find_map(|m| m.map_to_inside(kid))
             .unwrap_or(OVERFLOW_ID)
     }
 }
@@ -196,13 +192,14 @@ impl NsTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use IdKind::{Group, User};
 
     #[test]
     fn init_ns_is_identity() {
         let ns = UserNs::init();
-        assert_eq!(ns.make_kuid(0), Some(0));
-        assert_eq!(ns.make_kuid(12345), Some(12345));
-        assert_eq!(ns.from_kuid(99), 99);
+        assert_eq!(ns.make_kid(User, 0), Some(0));
+        assert_eq!(ns.make_kid(User, 12345), Some(12345));
+        assert_eq!(ns.from_kid(User, 99), 99);
     }
 
     #[test]
@@ -216,11 +213,21 @@ mod tests {
             count: 1,
         });
         let ns = t.get(child);
-        assert_eq!(ns.make_kuid(0), Some(1000));
-        assert_eq!(ns.make_kuid(1), None, "only one id is mapped");
-        assert_eq!(ns.make_kuid(998), None, "ssh_keys gid would be unmappable");
-        assert_eq!(ns.from_kuid(1000), 0);
-        assert_eq!(ns.from_kuid(0), OVERFLOW_ID, "host root reads as nobody");
+        assert_eq!(ns.make_kid(User, 0), Some(1000));
+        assert_eq!(ns.make_kid(User, 1), None, "only one id is mapped");
+        assert_eq!(
+            ns.make_kid(User, 998),
+            None,
+            "ssh_keys gid would be unmappable"
+        );
+        assert_eq!(ns.from_kid(User, 1000), 0);
+        assert_eq!(
+            ns.from_kid(User, 0),
+            OVERFLOW_ID,
+            "host root reads as nobody"
+        );
+        assert_eq!(ns.make_kid(Group, 0), None, "the gid map is its own");
+        assert_eq!(ns.from_kid(Group, 1000), OVERFLOW_ID);
     }
 
     #[test]
@@ -233,11 +240,11 @@ mod tests {
             count: 65_536,
         });
         let ns = t.get(child);
-        assert_eq!(ns.make_kuid(0), Some(100_000));
-        assert_eq!(ns.make_kuid(998), Some(100_998));
-        assert_eq!(ns.make_kuid(65_535), Some(165_535));
-        assert_eq!(ns.make_kuid(65_536), None);
-        assert_eq!(ns.from_kuid(100_998), 998);
+        assert_eq!(ns.make_kid(User, 0), Some(100_000));
+        assert_eq!(ns.make_kid(User, 998), Some(100_998));
+        assert_eq!(ns.make_kid(User, 65_535), Some(165_535));
+        assert_eq!(ns.make_kid(User, 65_536), None);
+        assert_eq!(ns.from_kid(User, 100_998), 998);
     }
 
     #[test]

@@ -15,7 +15,7 @@
 
 use std::collections::HashMap;
 
-use crate::cred::{Cred, Ids};
+use crate::cred::{Cred, IdKind, Ids};
 use crate::hooks::{HookVerdict, SyscallHook};
 use crate::ids::{NsId, NsTable};
 use crate::process::{FsId, Pid, Process};
@@ -360,20 +360,14 @@ impl Kernel {
 
     /// The ids a process currently observes (ns-local view of its cred).
     fn observed_ids(&self, pid: Pid) -> Ids {
-        let p = self.process(pid);
-        let ns = self.namespaces.get(p.cred.userns);
+        let c = &self.process(pid).cred;
+        let ns = self.namespaces.get(c.userns);
+        let uid = |kid| ns.from_kid(IdKind::User, kid);
+        let gid = |kid| ns.from_kid(IdKind::Group, kid);
         Ids {
-            uids: (
-                ns.from_kuid(p.cred.ruid),
-                ns.from_kuid(p.cred.euid),
-                ns.from_kuid(p.cred.suid),
-            ),
-            gids: (
-                ns.from_kgid(p.cred.rgid),
-                ns.from_kgid(p.cred.egid),
-                ns.from_kgid(p.cred.sgid),
-            ),
-            groups: p.cred.groups.iter().map(|&g| ns.from_kgid(g)).collect(),
+            uids: (uid(c.ruid), uid(c.euid), uid(c.suid)),
+            gids: (gid(c.rgid), gid(c.egid), gid(c.sgid)),
+            groups: c.groups.iter().map(|&g| gid(g)).collect(),
         }
     }
 
@@ -658,40 +652,15 @@ impl Kernel {
             }
 
             // ---- identity manipulation: filter class 2 when not faked ---------
-            SysCall::Setuid { uid } => self.do_setuid(pid, uid),
-            SysCall::Setgid { gid } => self.do_setgid(pid, gid),
-            SysCall::Setresuid { r, e, s } => self.do_setresuid(pid, r, e, s),
-            SysCall::Setresgid { r, e, s } => self.do_setresgid(pid, r, e, s),
-            SysCall::Setreuid { r, e } => self.do_setresuid(pid, r, e, None),
-            SysCall::Setregid { r, e } => self.do_setresgid(pid, r, e, None),
+            call @ (SysCall::Setuid { .. }
+            | SysCall::Setgid { .. }
+            | SysCall::Setreuid { .. }
+            | SysCall::Setregid { .. }
+            | SysCall::Setresuid { .. }
+            | SysCall::Setresgid { .. }) => self.do_set_ids(pid, &call),
             SysCall::Setgroups { groups } => self.do_setgroups(pid, &groups),
-            SysCall::Setfsuid { uid } => {
-                let p = self.process(pid);
-                let ns = self.namespaces.get(p.cred.userns);
-                let old = ns.from_kuid(p.cred.fsuid);
-                if let Some(kuid) = ns.make_kuid(uid) {
-                    let capable = self.capable(pid, Cap::Setuid, p.cred.userns);
-                    let p = self.process_mut(pid);
-                    if capable || p.cred.any_uid_is(kuid) || p.cred.fsuid == kuid {
-                        p.cred.fsuid = kuid;
-                    }
-                }
-                // setfsuid never fails; it returns the previous value.
-                Ok(SysRet::Id(old))
-            }
-            SysCall::Setfsgid { gid } => {
-                let p = self.process(pid);
-                let ns = self.namespaces.get(p.cred.userns);
-                let old = ns.from_kgid(p.cred.fsgid);
-                if let Some(kgid) = ns.make_kgid(gid) {
-                    let capable = self.capable(pid, Cap::Setgid, p.cred.userns);
-                    let p = self.process_mut(pid);
-                    if capable || p.cred.any_gid_is(kgid) || p.cred.fsgid == kgid {
-                        p.cred.fsgid = kgid;
-                    }
-                }
-                Ok(SysRet::Id(old))
-            }
+            SysCall::Setfsuid { uid } => Ok(self.do_setfsid(pid, IdKind::User, uid)),
+            SysCall::Setfsgid { gid } => Ok(self.do_setfsid(pid, IdKind::Group, gid)),
             SysCall::Capget => {
                 let p = self.process(pid);
                 Ok(SysRet::Caps {
@@ -790,8 +759,8 @@ impl Kernel {
 
     fn map_stat(&self, pid: Pid, mut st: zr_vfs::inode::Stat) -> zr_vfs::inode::Stat {
         let ns = self.namespaces.get(self.process(pid).cred.userns);
-        st.uid = ns.from_kuid(st.uid);
-        st.gid = ns.from_kgid(st.gid);
+        st.uid = ns.from_kid(IdKind::User, st.uid);
+        st.gid = ns.from_kid(IdKind::Group, st.gid);
         st
     }
 
@@ -816,14 +785,9 @@ impl Kernel {
         let (cur_uid, cur_gid) = (node.meta.uid, node.meta.gid);
 
         let ns = self.namespaces.get(self.process(pid).cred.userns);
-        let kuid = match uid {
-            None => None,
-            Some(u) => Some(ns.make_kuid(u).ok_or(Errno::EINVAL)?),
-        };
-        let kgid = match gid {
-            None => None,
-            Some(g) => Some(ns.make_kgid(g).ok_or(Errno::EINVAL)?),
-        };
+        let kid = |kind, id: Option<u32>| id.map(|id| ns.make_kid(kind, id).ok_or(Errno::EINVAL));
+        let kuid = kid(IdKind::User, uid).transpose()?;
+        let kgid = kid(IdKind::Group, gid).transpose()?;
 
         if let Some(ku) = kuid {
             if ku != cur_uid && !self.capable_wrt_fs(pid, Cap::Chown) {
@@ -846,122 +810,53 @@ impl Kernel {
         Ok(SysRet::Unit)
     }
 
-    fn do_setuid(&mut self, pid: Pid, uid: u32) -> SysResult<SysRet> {
-        let p = self.process(pid);
-        let ns = self.namespaces.get(p.cred.userns);
-        let kuid = ns.make_kuid(uid).ok_or(Errno::EINVAL)?;
-        let capable = self.capable(pid, Cap::Setuid, p.cred.userns);
-        let p = self.process_mut(pid);
-        if capable {
-            p.cred.ruid = kuid;
-            p.cred.euid = kuid;
-            p.cred.suid = kuid;
-            p.cred.fsuid = kuid;
-            Ok(SysRet::Unit)
-        } else if p.cred.any_uid_is(kuid) {
-            p.cred.euid = kuid;
-            p.cred.fsuid = kuid;
-            Ok(SysRet::Unit)
-        } else {
-            Err(Errno::EPERM.into())
+    /// The one set\*id rule, for uids and gids alike ([`SysCall::set_ids`]
+    /// decodes the call). Every named id must be mapped in the caller's
+    /// namespace (else `EINVAL`, before any other check). With the kind's
+    /// capability each named id is set, exactly as [`Ids::apply`] records
+    /// a faked call. Without it each named id must already be the
+    /// caller's real, effective or saved id (else `EPERM`), and
+    /// `setuid`/`setgid` change only the effective id. The filesystem id
+    /// follows the effective id.
+    fn do_set_ids(&mut self, pid: Pid, call: &SysCall) -> SysResult<SysRet> {
+        let (kind, mut kids) = call.set_ids().expect("a set*id call");
+        let userns = self.process(pid).cred.userns;
+        let ns = self.namespaces.get(userns);
+        for kid in kids.iter_mut().flatten() {
+            *kid = ns.make_kid(kind, *kid).ok_or(Errno::EINVAL)?;
         }
-    }
-
-    fn do_setgid(&mut self, pid: Pid, gid: u32) -> SysResult<SysRet> {
-        let p = self.process(pid);
-        let ns = self.namespaces.get(p.cred.userns);
-        let kgid = ns.make_kgid(gid).ok_or(Errno::EINVAL)?;
-        let capable = self.capable(pid, Cap::Setgid, p.cred.userns);
-        let p = self.process_mut(pid);
-        if capable {
-            p.cred.rgid = kgid;
-            p.cred.egid = kgid;
-            p.cred.sgid = kgid;
-            p.cred.fsgid = kgid;
-            Ok(SysRet::Unit)
-        } else if p.cred.any_gid_is(kgid) {
-            p.cred.egid = kgid;
-            p.cred.fsgid = kgid;
-            Ok(SysRet::Unit)
-        } else {
-            Err(Errno::EPERM.into())
-        }
-    }
-
-    fn do_setresuid(
-        &mut self,
-        pid: Pid,
-        r: Option<u32>,
-        e: Option<u32>,
-        s: Option<u32>,
-    ) -> SysResult<SysRet> {
-        let p = self.process(pid);
-        let ns = self.namespaces.get(p.cred.userns);
-        let map = |v: Option<u32>| -> Result<Option<u32>, Errno> {
-            match v {
-                None => Ok(None),
-                Some(u) => Ok(Some(ns.make_kuid(u).ok_or(Errno::EINVAL)?)),
-            }
-        };
-        let (kr, ke, ks) = (map(r)?, map(e)?, map(s)?);
-        let capable = self.capable(pid, Cap::Setuid, p.cred.userns);
-        let p = self.process_mut(pid);
+        let capable = self.capable(pid, kind.cap(), userns);
+        let [r, e, s, fs] = self.process_mut(pid).cred.ids_mut(kind);
         if !capable {
-            for k in [kr, ke, ks].into_iter().flatten() {
-                if !p.cred.any_uid_is(k) {
-                    return Err(Errno::EPERM.into());
-                }
+            let held = [*r, *e, *s];
+            if kids.iter().flatten().any(|kid| !held.contains(kid)) {
+                return Err(Errno::EPERM.into());
+            }
+            if matches!(call, SysCall::Setuid { .. } | SysCall::Setgid { .. }) {
+                kids = [None, kids[1], None];
             }
         }
-        if let Some(k) = kr {
-            p.cred.ruid = k;
+        for (id, kid) in [&mut *r, &mut *e, &mut *s].into_iter().zip(kids) {
+            *id = kid.unwrap_or(*id);
         }
-        if let Some(k) = ke {
-            p.cred.euid = k;
-            p.cred.fsuid = k;
-        }
-        if let Some(k) = ks {
-            p.cred.suid = k;
-        }
+        *fs = *e;
         Ok(SysRet::Unit)
     }
 
-    fn do_setresgid(
-        &mut self,
-        pid: Pid,
-        r: Option<u32>,
-        e: Option<u32>,
-        s: Option<u32>,
-    ) -> SysResult<SysRet> {
-        let p = self.process(pid);
-        let ns = self.namespaces.get(p.cred.userns);
-        let map = |v: Option<u32>| -> Result<Option<u32>, Errno> {
-            match v {
-                None => Ok(None),
-                Some(g) => Ok(Some(ns.make_kgid(g).ok_or(Errno::EINVAL)?)),
-            }
-        };
-        let (kr, ke, ks) = (map(r)?, map(e)?, map(s)?);
-        let capable = self.capable(pid, Cap::Setgid, p.cred.userns);
-        let p = self.process_mut(pid);
-        if !capable {
-            for k in [kr, ke, ks].into_iter().flatten() {
-                if !p.cred.any_gid_is(k) {
-                    return Err(Errno::EPERM.into());
-                }
-            }
+    /// `setfsuid`/`setfsgid`: the filesystem id becomes `id` when `id` is
+    /// mapped and the caller has the kind's capability or holds `id` as
+    /// one of its four ids. Never fails; returns the previous filesystem
+    /// id.
+    fn do_setfsid(&mut self, pid: Pid, kind: IdKind, id: u32) -> SysRet {
+        let userns = self.process(pid).cred.userns;
+        let capable = self.capable(pid, kind.cap(), userns);
+        let kid = self.namespaces.get(userns).make_kid(kind, id);
+        let ids = self.process_mut(pid).cred.ids_mut(kind);
+        let old = *ids[3];
+        if let Some(kid) = kid.filter(|kid| capable || ids.iter().any(|id| **id == *kid)) {
+            *ids[3] = kid;
         }
-        if let Some(k) = kr {
-            p.cred.rgid = k;
-        }
-        if let Some(k) = ke {
-            p.cred.egid = k;
-            p.cred.fsgid = k;
-        }
-        if let Some(k) = ks {
-            p.cred.sgid = k;
-        }
-        Ok(SysRet::Unit)
+        SysRet::Id(self.namespaces.get(userns).from_kid(kind, old))
     }
 
     fn do_setgroups(&mut self, pid: Pid, groups: &[u32]) -> SysResult<SysRet> {
@@ -980,7 +875,7 @@ impl Kernel {
         let ns = self.namespaces.get(ns_id);
         let mut kgids = Vec::with_capacity(groups.len());
         for &g in groups {
-            kgids.push(ns.make_kgid(g).ok_or(Errno::EINVAL)?);
+            kgids.push(ns.make_kid(IdKind::Group, g).ok_or(Errno::EINVAL)?);
         }
         self.process_mut(pid).cred.groups = kgids;
         Ok(SysRet::Unit)
@@ -1497,6 +1392,150 @@ mod tests {
         let mut ctx = k.ctx(Kernel::INIT_PID);
         ctx.setuid(500).unwrap(); // root may become anyone
         assert_eq!(ctx.geteuid(), 500);
+    }
+
+    /// A Type II container's init: every capability in its namespace,
+    /// whose map covers ids 0..65536.
+    fn type_ii() -> (Kernel, Pid) {
+        let mut k = Kernel::new(KernelConfig {
+            setuid_helpers: true,
+            ..KernelConfig::default()
+        });
+        let cfg = crate::ContainerConfig {
+            ctype: crate::ContainerType::TypeII,
+            image: Fs::new(),
+        };
+        let c = k.container_create(Kernel::HOST_USER_PID, cfg).unwrap();
+        (k, c.init_pid)
+    }
+
+    fn observed(ctx: &mut SyscallCtx<'_>) -> Ids {
+        Ids {
+            uids: ctx.getresuid(),
+            gids: ctx.getresgid(),
+            groups: ctx.getgroups(),
+        }
+    }
+
+    fn drop_caps(ctx: &mut SyscallCtx<'_>) {
+        let empty = zr_syscalls::caps::CapSet::EMPTY;
+        ctx.capset(empty, empty).unwrap();
+    }
+
+    #[test]
+    fn capable_set_id_calls_change_what_ids_apply_says() {
+        // The contract between the kernel and the consistent emulators:
+        // what they pretend a set*id call did is what it does for root.
+        let (mut k, pid) = type_ii();
+        let mut ctx = k.ctx(pid);
+        let (n, id) = (None, Some);
+        let calls = [
+            SysCall::Setresuid {
+                r: id(5),
+                e: id(6),
+                s: id(7),
+            },
+            SysCall::Setreuid { r: id(8), e: n },
+            SysCall::Setreuid { r: n, e: id(9) },
+            SysCall::Setuid { uid: 10 },
+            SysCall::Setresgid {
+                r: id(11),
+                e: n,
+                s: id(12),
+            },
+            SysCall::Setregid {
+                r: id(13),
+                e: id(14),
+            },
+            SysCall::Setgid { gid: 15 },
+            SysCall::Setgroups { groups: vec![3, 4] },
+        ];
+        for call in calls {
+            let mut want = observed(&mut ctx);
+            assert!(want.apply(&call), "{call:?}");
+            assert_eq!(ctx.call(call.clone()), Ok(SysRet::Unit), "{call:?}");
+            assert_eq!(observed(&mut ctx), want, "{call:?}");
+        }
+    }
+
+    #[test]
+    fn unprivileged_set_id_rules() {
+        let (mut k, pid) = type_ii();
+        let mut ctx = k.ctx(pid);
+        ctx.setresuid(Some(5), Some(6), Some(7)).unwrap();
+        ctx.setresgid(Some(15), Some(16), Some(17)).unwrap();
+        drop_caps(&mut ctx);
+        let eperm = Err(SysError::Errno(Errno::EPERM));
+
+        ctx.setuid(7).unwrap();
+        assert_eq!(ctx.getresuid(), (5, 7, 7), "only the effective uid moves");
+        ctx.setgid(17).unwrap();
+        assert_eq!(
+            ctx.getresgid(),
+            (15, 17, 17),
+            "only the effective gid moves"
+        );
+        assert_eq!(ctx.setuid(9), eperm, "9 is none of the caller's uids");
+        assert_eq!(
+            ctx.setuid(70_000),
+            Err(SysError::Errno(Errno::EINVAL)),
+            "an unmapped id fails before the check that it is held"
+        );
+        assert_eq!(ctx.setresgid(None, Some(9), None), eperm);
+        assert_eq!(
+            (ctx.getresuid(), ctx.getresgid()),
+            ((5, 7, 7), (15, 17, 17))
+        );
+
+        ctx.setresuid(None, Some(5), None).unwrap();
+        assert_eq!(ctx.getresuid(), (5, 5, 7));
+        let setregid = SysCall::Setregid {
+            r: Some(17),
+            e: Some(15),
+        };
+        assert_eq!(ctx.call(setregid), Ok(SysRet::Unit));
+        assert_eq!(ctx.getresgid(), (17, 15, 17));
+    }
+
+    #[test]
+    fn setfs_ids_return_the_previous_id() {
+        fn setfs(ctx: &mut SyscallCtx<'_>, call: SysCall) -> u32 {
+            match ctx.call(call) {
+                Ok(SysRet::Id(old)) => old,
+                other => panic!("setfs*id never fails: {other:?}"),
+            }
+        }
+        let (fsuid, fsgid) = (
+            |uid| SysCall::Setfsuid { uid },
+            |gid| SysCall::Setfsgid { gid },
+        );
+        let (mut k, pid) = type_ii();
+        let mut ctx = k.ctx(pid);
+        assert_eq!(setfs(&mut ctx, fsuid(42)), 0);
+        assert_eq!(setfs(&mut ctx, fsuid(70_000)), 42, "unmapped: unchanged");
+        assert_eq!(setfs(&mut ctx, fsuid(0)), 42);
+        assert_eq!(setfs(&mut ctx, fsgid(43)), 0);
+
+        drop_caps(&mut ctx);
+        assert_eq!(setfs(&mut ctx, fsgid(44)), 43, "44 is none of its gids");
+        assert_eq!(setfs(&mut ctx, fsgid(0)), 43, "the real gid is held");
+        assert_eq!(setfs(&mut ctx, fsgid(0)), 0);
+    }
+
+    #[test]
+    fn the_filesystem_id_follows_the_effective_id() {
+        // As in Linux (`new->fsuid = new->euid`): every set*id call resets
+        // the filesystem id, even one that leaves the effective id alone.
+        let (mut k, pid) = type_ii();
+        let mut ctx = k.ctx(pid);
+        let setfsuid = |uid| SysCall::Setfsuid { uid };
+        assert_eq!(ctx.call(setfsuid(42)), Ok(SysRet::Id(0)));
+        let setreuid = SysCall::Setreuid {
+            r: Some(3),
+            e: None,
+        };
+        assert_eq!(ctx.call(setreuid), Ok(SysRet::Unit));
+        assert_eq!(ctx.call(setfsuid(0)), Ok(SysRet::Id(0)));
     }
 
     #[test]

@@ -4,14 +4,18 @@
 //! single-threaded model of the slice of Linux that container image builds
 //! exercise:
 //!
-//! * [`ids`] — user namespaces with uid/gid maps (`make_kuid`/`from_kuid`)
-//!   and the `ns_capable` walk — the machinery that makes capabilities in
-//!   an unprivileged namespace "an illusion" (§1 of the paper).
+//! * [`ids`] — user namespaces with uid/gid maps (`make_kid`/`from_kid`,
+//!   one pair for both kinds of id) and the `ns_capable` walk — the
+//!   machinery that makes capabilities in an unprivileged namespace "an
+//!   illusion" (§1 of the paper).
 //! * [`cred`] — per-process credentials: the four uids/gids, supplementary
-//!   groups, capability sets; and [`Ids`], a cred as its namespace sees
-//!   it. `Ids` holds the one copy of the set\*id/get\*id rules: the
-//!   kernel's truthful answers, the `seccomp+ids` memory of faked set\*id
-//!   calls and the consistent emulators' pretended identity all use it.
+//!   groups, capability sets; [`IdKind`], which of the two id sets a call
+//!   names; and [`Ids`], a cred as its namespace sees it. `Ids` holds the
+//!   one copy of the set\*id/get\*id rules: the kernel's truthful
+//!   answers, the `seccomp+ids` memory of faked set\*id calls and the
+//!   consistent emulators' pretended identity all use it, and the
+//!   kernel's one set\*id rule gives a capable caller exactly the change
+//!   `Ids::apply` records.
 //! * [`sys`] — the syscall surface as a data type ([`sys::SysCall`]) plus
 //!   the [`sys::Sys`] trait, which is the *libc boundary*: simulated
 //!   programs call through `&mut dyn Sys`, which is how LD_PRELOAD-style
@@ -47,7 +51,7 @@ pub mod program;
 pub mod sys;
 
 pub use container::{ContainerConfig, ContainerType};
-pub use cred::{Cred, Ids};
+pub use cred::{Cred, IdKind, Ids};
 pub use hooks::{HookVerdict, SyscallHook};
 pub use ids::{IdMap, NsId, UserNs};
 pub use kernel::{Kernel, KernelConfig, SyscallCtx};

@@ -9,6 +9,7 @@
 //! library interposition, including its blind spot: statically linked
 //! programs are handed the raw context and bypass any wrapper.
 
+use crate::cred::IdKind;
 use zr_syscalls::caps::CapSet;
 use zr_syscalls::Errno;
 use zr_vfs::inode::Stat;
@@ -210,64 +211,21 @@ pub enum SysCall {
 }
 
 impl SysCall {
-    /// Short name for traces (matches the *logical* libc call; the kernel
-    /// records the per-arch syscall actually used).
-    pub fn name(&self) -> &'static str {
-        match self {
-            SysCall::ReadFile { .. } => "read",
-            SysCall::WriteFile { .. } => "write",
-            SysCall::AppendFile { .. } => "append",
-            SysCall::Mkdir { .. } => "mkdir",
-            SysCall::Unlink { .. } => "unlink",
-            SysCall::Rmdir { .. } => "rmdir",
-            SysCall::Rename { .. } => "rename",
-            SysCall::Symlink { .. } => "symlink",
-            SysCall::Link { .. } => "link",
-            SysCall::Readlink { .. } => "readlink",
-            SysCall::Stat { .. } => "stat",
-            SysCall::Lstat { .. } => "lstat",
-            SysCall::ReadDir { .. } => "readdir",
-            SysCall::Chmod { .. } => "chmod",
-            SysCall::Chown { .. } => "chown",
-            SysCall::Lchown { .. } => "lchown",
-            SysCall::Fchownat { .. } => "fchownat",
-            SysCall::Mknod { .. } => "mknod",
-            SysCall::Mknodat { .. } => "mknodat",
-            SysCall::Truncate { .. } => "truncate",
-            SysCall::Utimens { .. } => "utimens",
-            SysCall::Setxattr { .. } => "setxattr",
-            SysCall::Getxattr { .. } => "getxattr",
-            SysCall::Listxattr { .. } => "listxattr",
-            SysCall::Removexattr { .. } => "removexattr",
-            SysCall::Getuid => "getuid",
-            SysCall::Geteuid => "geteuid",
-            SysCall::Getgid => "getgid",
-            SysCall::Getegid => "getegid",
-            SysCall::Getresuid => "getresuid",
-            SysCall::Getresgid => "getresgid",
-            SysCall::Getgroups => "getgroups",
-            SysCall::Setuid { .. } => "setuid",
-            SysCall::Setgid { .. } => "setgid",
-            SysCall::Setreuid { .. } => "setreuid",
-            SysCall::Setregid { .. } => "setregid",
-            SysCall::Setresuid { .. } => "setresuid",
-            SysCall::Setresgid { .. } => "setresgid",
-            SysCall::Setgroups { .. } => "setgroups",
-            SysCall::Setfsuid { .. } => "setfsuid",
-            SysCall::Setfsgid { .. } => "setfsgid",
-            SysCall::Capget => "capget",
-            SysCall::Capset { .. } => "capset",
-            SysCall::Getpid => "getpid",
-            SysCall::Umask { .. } => "umask",
-            SysCall::Chdir { .. } => "chdir",
-            SysCall::Getcwd => "getcwd",
-            SysCall::SetNoNewPrivs => "prctl",
-            SysCall::SeccompInstall { .. } => "seccomp",
-            SysCall::KexecLoad => "kexec_load",
-            SysCall::Spawn { .. } => "execve",
-            SysCall::ConsoleWrite { .. } => "write",
-            SysCall::GetRandom { .. } => "getrandom",
-        }
+    /// The kind of id a set\*id call sets, and its real, effective and
+    /// saved ids (`None` = unchanged): `setuid`/`setgid` name all three,
+    /// `setre*` the first two, `setres*` each as given. `None` for every
+    /// other call.
+    pub fn set_ids(&self) -> Option<(IdKind, [Option<u32>; 3])> {
+        use IdKind::{Group, User};
+        Some(match *self {
+            SysCall::Setuid { uid } => (User, [Some(uid); 3]),
+            SysCall::Setgid { gid } => (Group, [Some(gid); 3]),
+            SysCall::Setreuid { r, e } => (User, [r, e, None]),
+            SysCall::Setregid { r, e } => (Group, [r, e, None]),
+            SysCall::Setresuid { r, e, s } => (User, [r, e, s]),
+            SysCall::Setresgid { r, e, s } => (Group, [r, e, s]),
+            _ => return None,
+        })
     }
 }
 
@@ -607,20 +565,6 @@ mod tests {
         let mut s = FixedUid(7);
         let d: &mut dyn Sys = &mut s;
         assert_eq!(d.getuid(), 7);
-    }
-
-    #[test]
-    fn syscall_names() {
-        assert_eq!(SysCall::KexecLoad.name(), "kexec_load");
-        assert_eq!(
-            SysCall::Chown {
-                path: "/".into(),
-                uid: None,
-                gid: None
-            }
-            .name(),
-            "chown"
-        );
     }
 
     #[test]

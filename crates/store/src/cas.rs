@@ -184,9 +184,7 @@ struct RootMeta {
 
 #[derive(Debug, Default)]
 struct CasState {
-    /// digest → number of roots pinning it.
-    refs: HashMap<String, u64>,
-    /// root name → pin record (to diff on re-pin, to order eviction).
+    /// root name → pin record (to order eviction; read by `pinned`).
     roots: HashMap<String, RootMeta>,
     /// Digests this handle knows are on disk (open-time census plus
     /// every put since). A hot-path `put` of known content is one hash
@@ -200,7 +198,7 @@ struct CasState {
     index_bytes: u64,
     /// Monotonic pin counter — the LRU clock for budget eviction.
     pin_clock: u64,
-    /// Physical-byte ceiling; 0 = unlimited (mirrors `--cache-limit`).
+    /// Physical-byte ceiling; 0 = unlimited (mirrors `--store-limit`).
     budget: u64,
     stats: CasStats,
 }
@@ -348,7 +346,8 @@ impl Cas {
     /// Creation writes the `format` version file; reopening verifies
     /// it. Stray staging files from a crashed writer are removed, the
     /// blob and chunk-index census is taken, and every root pin record
-    /// is loaded into the in-memory refcount index.
+    /// is loaded into the in-memory pin index (LRU age, dependencies and
+    /// digests per root).
     pub fn open(dir: impl AsRef<Path>) -> Result<Cas> {
         let root = dir.as_ref().to_path_buf();
         fs::create_dir_all(root.join("blobs/sha256"))?;
@@ -451,7 +450,7 @@ impl Cas {
                 }
             }
         }
-        // Refcount index from the pin records. A pin that does not
+        // Pin index from the pin records. A pin that does not
         // parse must not brick the store: it is quarantined (removed)
         // so its layer reads as a miss, re-executes, and re-pins —
         // the same healing path a corrupt layer record takes. (Pins
@@ -469,9 +468,6 @@ impl Cas {
             };
             match decode_root(&bytes) {
                 Ok(meta) => {
-                    for d in &meta.digests {
-                        *state.refs.entry(d.clone()).or_insert(0) += 1;
-                    }
                     state.pin_clock = state.pin_clock.max(meta.seq);
                     state.roots.insert(name, meta);
                 }
@@ -662,12 +658,7 @@ impl Cas {
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => false,
             Err(e) => return Err(e.into()),
         };
-        let mut state = self.lock();
-        if let Some(old) = state.roots.remove(name) {
-            for d in &old.digests {
-                release_ref(&mut state.refs, d);
-            }
-        }
+        self.lock().roots.remove(name);
         Ok(existed)
     }
 
@@ -676,11 +667,6 @@ impl Cas {
         let mut names: Vec<String> = self.lock().roots.keys().cloned().collect();
         names.sort();
         names
-    }
-
-    /// How many roots pin this digest (0 = collectable).
-    pub fn refcount(&self, digest: &str) -> u64 {
-        self.lock().refs.get(digest).copied().unwrap_or(0)
     }
 
     /// The digests a named root pins, in the order they were pinned
@@ -738,10 +724,7 @@ impl Cas {
             {
                 let mut state = self.lock();
                 for name in &victims {
-                    if let Some(old) = state.roots.remove(name) {
-                        for d in &old.digests {
-                            release_ref(&mut state.refs, d);
-                        }
+                    if state.roots.remove(name).is_some() {
                         state.stats.evicted_roots += 1;
                     }
                 }
@@ -762,7 +745,7 @@ impl Cas {
         // partial pin knowledge could free content a healthy root
         // still references. (Open quarantines corrupt pins, so this
         // only trips on corruption that arrived after open.)
-        let mut live: HashMap<String, u64> = HashMap::new();
+        let mut live: HashSet<String> = HashSet::new();
         for entry in fs::read_dir(self.inner.root.join("roots"))?.flatten() {
             let bytes = match fs::read(entry.path()) {
                 Ok(bytes) => bytes,
@@ -777,9 +760,7 @@ impl Cas {
                     entry.file_name().to_string_lossy()
                 ))
             })?;
-            for d in meta.digests {
-                *live.entry(d).or_insert(0) += 1;
-            }
+            live.extend(meta.digests);
         }
         // Chunk indexes: a live logical digest keeps its index record
         // and marks its chunk objects live; a dead one is removed with
@@ -789,7 +770,7 @@ impl Cas {
             report.scanned += 1;
             let name = entry.file_name().to_string_lossy().into_owned();
             let len = entry.metadata().map(|m| m.len()).unwrap_or(0);
-            if live.contains_key(&name) {
+            if live.contains(&name) {
                 let bytes = match fs::read(entry.path()) {
                     Ok(bytes) => bytes,
                     Err(e) if e.kind() == std::io::ErrorKind::NotFound => continue,
@@ -798,9 +779,7 @@ impl Cas {
                 let (_, chunks) = decode_chunk_index(&bytes).map_err(|e| {
                     StoreError::corrupt(format!("gc: chunk index {name} does not parse ({e})"))
                 })?;
-                for (chunk_digest, _) in chunks {
-                    *live.entry(chunk_digest).or_insert(0) += 1;
-                }
+                live.extend(chunks.into_iter().map(|(chunk_digest, _)| chunk_digest));
                 report.live += 1;
                 surviving_indexes.push((name, bytes.len() as u64));
             } else if fs::remove_file(entry.path()).is_ok() {
@@ -815,7 +794,7 @@ impl Cas {
             report.scanned += 1;
             let name = entry.file_name().to_string_lossy().into_owned();
             let len = entry.metadata().map(|m| m.len()).unwrap_or(0);
-            if live.contains_key(&name) {
+            if live.contains(&name) {
                 report.live += 1;
                 live_blobs += 1;
                 live_bytes += len;
@@ -828,7 +807,6 @@ impl Cas {
             }
         }
         let mut state = self.lock();
-        state.refs = live;
         // The known-digest fast path must forget collected blobs, or a
         // later put of the same content would be skipped unwritten.
         state.known = survivors;
@@ -907,9 +885,9 @@ pub struct CasBatch {
     staged: Vec<StagedFile>,
     /// Digests staged in this batch (not yet in `known`).
     staged_digests: HashSet<String>,
-    /// Pins staged in this batch, applied to the in-memory index at
-    /// commit: (name, seq, deps, digests).
-    pins: Vec<(String, u64, Vec<String>, Vec<String>)>,
+    /// Pins staged in this batch, added to the in-memory pin index at
+    /// commit.
+    pins: Vec<(String, RootMeta)>,
 }
 
 impl CasBatch {
@@ -1012,8 +990,12 @@ impl CasBatch {
         let record = encode_root(seq, deps, digests);
         let dest = self.cas.inner.root.join("roots").join(name);
         self.stage(dest, StagedData::Owned(record), StagedKind::Record);
-        self.pins
-            .push((name.to_string(), seq, deps.to_vec(), digests.to_vec()));
+        let meta = RootMeta {
+            seq,
+            deps: deps.to_vec(),
+            digests: digests.to_vec(),
+        };
+        self.pins.push((name.to_string(), meta));
         Ok(())
     }
 
@@ -1193,11 +1175,10 @@ impl CasBatch {
                 StagedKind::Record => {}
             }
         }
-        for (name, seq, deps, digests) in &pins {
-            apply_pin(&mut state, name, *seq, deps, digests);
-        }
+        let pinned = !pins.is_empty();
+        state.roots.extend(pins);
         drop(state);
-        if pins.is_empty() {
+        if !pinned {
             return Ok(());
         }
         self.cas.enforce_budget()
@@ -1289,26 +1270,6 @@ fn replay_pack(root: &Path, bytes: &[u8]) -> Result<()> {
     Ok(())
 }
 
-/// Update the in-memory pin index for a (re)pinned root.
-fn apply_pin(state: &mut CasState, name: &str, seq: u64, deps: &[String], digests: &[String]) {
-    if let Some(old) = state.roots.remove(name) {
-        for d in &old.digests {
-            release_ref(&mut state.refs, d);
-        }
-    }
-    for d in digests {
-        *state.refs.entry(d.clone()).or_insert(0) += 1;
-    }
-    state.roots.insert(
-        name.to_string(),
-        RootMeta {
-            seq,
-            deps: deps.to_vec(),
-            digests: digests.to_vec(),
-        },
-    );
-}
-
 /// Choose the eviction victim set: the root with the smallest
 /// *effective* age together with every root that (transitively)
 /// depends on it. Effective age is the root's own pin seq maxed over
@@ -1377,15 +1338,6 @@ fn staging_writer_alive(name: &str) -> bool {
         Some(pid) if pid == std::process::id() => true,
         Some(pid) => Path::new("/proc").join(pid.to_string()).exists(),
         None => false,
-    }
-}
-
-fn release_ref(refs: &mut HashMap<String, u64>, digest: &str) {
-    if let Some(count) = refs.get_mut(digest) {
-        *count -= 1;
-        if *count == 0 {
-            refs.remove(digest);
-        }
     }
 }
 

@@ -4,10 +4,10 @@
 //! makes the results *durable and exchangeable*:
 //!
 //! * [`Cas`] — a crash-safe, content-addressed blob store
-//!   (`blobs/sha256/<digest>`, atomic tmp+rename writes, refcounting
-//!   roots, [`Cas::gc`]). File payloads, tree records and layer
-//!   records all live here, so snapshots that share content share
-//!   disk bytes exactly as they share memory.
+//!   (`blobs/sha256/<digest>`, atomic tmp+rename writes, named root
+//!   pins, [`Cas::gc`] of every blob no pin names). File payloads, tree
+//!   records and layer records all live here, so snapshots that share
+//!   content share disk bytes exactly as they share memory.
 //! * [`DiskLayers`] / [`open_layer_store`] — the durable tier behind
 //!   `zr_image::LayerStore`: every cached layer is written through to
 //!   disk and read back on a miss, so a *second process* pointed at

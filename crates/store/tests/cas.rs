@@ -1,5 +1,5 @@
 //! CAS durability contract: atomic writes, verification on read,
-//! refcounted gc, crash-safe reopen, and two independent handles (the
+//! gc from the pinned roots, crash-safe reopen, and two independent handles (the
 //! moral equivalent of two processes) sharing one directory.
 
 mod common;
@@ -79,7 +79,6 @@ fn gc_respects_roots_and_reopen_reloads_pins() {
     let shared = cas.put(b"doubly pinned").unwrap();
     cas.pin("root-a", &[live.clone(), shared.clone()]).unwrap();
     cas.pin("root-b", std::slice::from_ref(&shared)).unwrap();
-    assert_eq!(cas.refcount(&shared), 2);
     assert_eq!(
         cas.roots(),
         vec!["root-a".to_string(), "root-b".to_string()]
@@ -99,9 +98,9 @@ fn gc_respects_roots_and_reopen_reloads_pins() {
     assert!(cas.contains(&shared));
     assert!(!cas.contains(&live));
 
-    // A fresh open rebuilds the refcount index from disk.
+    // A fresh open reloads the pins from disk.
     let reopened = Cas::open(dir.path()).unwrap();
-    assert_eq!(reopened.refcount(&shared), 1);
+    assert_eq!(reopened.pinned("root-b"), Some(vec![shared.clone()]));
     assert!(!reopened.unpin("root-a").unwrap(), "already gone");
     assert!(reopened.unpin("root-b").unwrap());
     let report = reopened.gc().unwrap();
@@ -221,7 +220,10 @@ fn batch_commit_is_durable_through_a_fresh_open() {
     // every object and the pin the batch wrote.
     let cas = Cas::open(dir.path()).unwrap();
     assert_eq!(cas.roots(), vec!["batch-root".to_string()]);
-    assert_eq!(cas.refcount(&small), 1);
+    assert_eq!(
+        cas.pinned("batch-root"),
+        Some(vec![small.clone(), large.clone()])
+    );
     assert_eq!(cas.get(&small).unwrap(), b"batched small object");
     assert!(cas.contains(&large));
     cas.get(&large).unwrap();

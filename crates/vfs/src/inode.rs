@@ -131,11 +131,6 @@ impl Inode {
     pub fn is_dir(&self) -> bool {
         matches!(self.kind, FileKind::Dir { .. })
     }
-
-    /// Is this a symlink?
-    pub fn is_symlink(&self) -> bool {
-        matches!(self.kind, FileKind::Symlink(_))
-    }
 }
 
 /// The `stat(2)` result surfaced to simulated userspace. Ids here are

@@ -97,11 +97,6 @@ impl Session {
         self.builder.build(&mut self.kernel, dockerfile, &opts)
     }
 
-    /// Build with full options.
-    pub fn build_with(&mut self, dockerfile: &str, opts: &BuildOptions) -> BuildResult {
-        self.builder.build(&mut self.kernel, dockerfile, opts)
-    }
-
     /// The kernel's dispatch ledger so far.
     pub fn counters(&self) -> zr_kernel::Counters {
         self.kernel.counters
